@@ -17,7 +17,8 @@
 use ckpt_bench::engine::{self, CsvFileSink, EngineConfig, Scenario};
 use ckpt_bench::scenarios::{LigoFootnoteScenario, LinearizationScenario, NaiveCoalesceScenario};
 use ckpt_bench::summary::EndpointSummary;
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::{stage_walls_since, Args, ObsOut};
+use ckpt_core::stage::wall_seconds;
 
 fn main() {
     let args = Args::parse();
@@ -50,6 +51,7 @@ fn run_study<S: Scenario>(
 ) -> Vec<S::Row> {
     let path = std::path::Path::new(out_dir).join(file);
     let mut sink = CsvFileSink::new(&path);
+    let walls = wall_seconds();
     let report = engine::run(scenario, cfg, &mut sink).expect("write CSV");
     eprintln!(
         "wrote {} rows to {} in {:.1}s ({} workers)",
@@ -58,7 +60,7 @@ fn run_study<S: Scenario>(
         report.wall,
         report.workers
     );
-    eprintln!("stage walls: {}", report.stages.summary());
+    eprintln!("stage walls: {}", stage_walls_since(&walls));
     report.rows
 }
 

@@ -16,7 +16,8 @@
 
 use ckpt_bench::engine::{self, CsvFileSink, EngineConfig};
 use ckpt_bench::scenarios::AccuracyScenario;
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::{stage_walls_since, Args, ObsOut};
+use ckpt_core::stage::wall_seconds;
 
 fn main() {
     let args = Args::parse();
@@ -42,6 +43,7 @@ fn main() {
         mc_threads,
         plan_threads,
     };
+    let walls = wall_seconds();
     let report = engine::run(&scenario, &cfg, &mut sink).expect("write CSV");
     println!(
         "{:8} {:5} {:9} {:6} {:>11} {:>12} {:>12} {:>10}",
@@ -68,6 +70,6 @@ fn main() {
         report.workers,
         report.mc_threads
     );
-    eprintln!("stage walls: {}", report.stages.summary());
+    eprintln!("stage walls: {}", stage_walls_since(&walls));
     obs_out.finish().expect("write observability outputs");
 }

@@ -17,7 +17,8 @@
 use ckpt_bench::engine::{self, CsvFileSink, EngineConfig};
 use ckpt_bench::scenarios::DistributionsScenario;
 use ckpt_bench::summary::EndpointSummary;
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::{stage_walls_since, Args, ObsOut};
+use ckpt_core::stage::wall_seconds;
 
 fn main() {
     let args = Args::parse();
@@ -45,6 +46,7 @@ fn main() {
     let scenario = DistributionsScenario::standard(runs, sizes, seed);
     let path = std::path::Path::new(&out_dir).join("distributions.csv");
     let mut sink = CsvFileSink::new(&path);
+    let walls = wall_seconds();
     let report = engine::run(&scenario, &cfg, &mut sink).expect("write CSV");
     eprintln!(
         "wrote {} rows to {} in {:.1}s ({} workers × {} MC threads)",
@@ -54,7 +56,7 @@ fn main() {
         report.workers,
         report.mc_threads,
     );
-    eprintln!("stage walls: {}", report.stages.summary());
+    eprintln!("stage walls: {}", stage_walls_since(&walls));
     // Per-model-block CPU attribution (sums of per-cell run_cell wall
     // clocks; diagnostic only, never part of the CSV). This is the
     // number BENCH_hotpath.json tracks for the non-exponential blocks.

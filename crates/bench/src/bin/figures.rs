@@ -14,7 +14,8 @@
 use ckpt_bench::engine::{self, CsvFileSink, EngineConfig};
 use ckpt_bench::scenarios::FigureScenario;
 use ckpt_bench::summary::figure_shape_summary;
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::{stage_walls_since, Args, ObsOut};
+use ckpt_core::stage::wall_seconds;
 use pegasus::WorkflowClass;
 
 fn main() {
@@ -42,6 +43,7 @@ fn main() {
         let scenario = FigureScenario::paper(class, points, instances, seed);
         let path = std::path::Path::new(&out_dir).join(format!("{fig}_{class}.csv"));
         let mut sink = CsvFileSink::new(&path);
+        let walls = wall_seconds();
         let report = engine::run(&scenario, &cfg, &mut sink).expect("write CSV");
         eprintln!(
             "wrote {} rows to {} in {:.1}s ({} workers × {} MC threads; \
@@ -56,7 +58,7 @@ fn main() {
             report.cache.schedule_hits,
             report.cache.schedule_hits + report.cache.schedule_misses,
         );
-        eprintln!("stage walls: {}", report.stages.summary());
+        eprintln!("stage walls: {}", stage_walls_since(&walls));
         // Shape summary on stdout: per (size, procs, pfail), the CCR
         // endpoints.
         println!("# {fig} ({class}) shape summary");

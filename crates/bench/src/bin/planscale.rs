@@ -7,7 +7,7 @@
 //! checkpoint-after bits, and the analytic expected makespan (exact
 //! bits). CI diffs it across `--plan-threads` budgets to pin the
 //! parallel-placement determinism guarantee; the stage walls quantify
-//! where generate/schedule/plan/evaluate time goes at scale.
+//! where each of the seven stages' time goes at scale.
 //!
 //! ```text
 //! cargo run -p ckpt_bench --release --bin planscale
@@ -20,13 +20,13 @@
 //! fields from the digest line) — the placement digest is complete
 //! without it, and time-budgeted CI smokes only need the placement.
 
-use ckpt_bench::engine::{Stage, StageWalls};
-use ckpt_bench::{Args, ObsOut, BANDWIDTH};
-use ckpt_core::{
-    allocate, coalesce, lambda_from_pfail, AllocateConfig, CostCtx, Pipeline, Platform, Strategy,
+use ckpt_bench::{stage_walls_since, Args, ObsOut, BANDWIDTH};
+use ckpt_core::stage::{
+    charged, evaluate_stage, schedule_stage, segment_graph_stage, wall_seconds, StageId,
 };
+use ckpt_core::{lambda_from_pfail, AllocateConfig, CostCtx, Pipeline, Platform, Strategy};
 use mspg::linearize::Linearizer;
-use probdag::{Evaluator, PathApprox};
+use probdag::PathApprox;
 
 fn main() {
     let args = Args::parse();
@@ -40,8 +40,8 @@ fn main() {
     let plan_threads: usize = args.get_or("plan-threads", 1);
     let eval: usize = args.get_or("eval", 1);
 
-    let walls = StageWalls::new();
-    let w = walls.time(Stage::Generate, || match shape.as_str() {
+    let walls = wall_seconds();
+    let w = charged(StageId::Generate, || match shape.as_str() {
         "chain" => pegasus::generic::chain(tasks, seed),
         "forkjoin" => {
             let levels = (tasks / (width + 1)).max(1);
@@ -50,30 +50,22 @@ fn main() {
         other => panic!("unknown --shape `{other}` (chain|forkjoin)"),
     });
     let n = w.n_tasks();
-    let schedule = walls.time(Stage::Schedule, || {
-        allocate(
-            &w,
-            procs,
-            &AllocateConfig {
-                linearizer: Linearizer::Structural,
-                seed,
-            },
-        )
-    });
+    let cfg = AllocateConfig {
+        linearizer: Linearizer::Structural,
+        seed,
+    };
+    let schedule = schedule_stage(&w, procs, &cfg).expect("--procs must be at least 1");
     let n_chains = schedule.superchains.len();
     let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
     let platform = Platform::new(procs, lambda, BANDWIDTH);
     let pipe = Pipeline::with_schedule(&w, platform, schedule).with_plan_threads(plan_threads);
-    let plan = walls.time(Stage::Plan, || pipe.plan(Strategy::CkptSome));
-    // Coalescing is part of planning; reuse the computed plan rather
-    // than replanning through `segment_graph`.
+    let plan = pipe.plan(Strategy::CkptSome);
+    // Coalescing reuses the computed plan rather than replanning
+    // through `segment_graph`.
     let ctx = CostCtx::exponential(&w.dag, lambda, BANDWIDTH);
-    let sg = walls.time(Stage::Plan, || coalesce(&ctx, &pipe.schedule, &plan));
-    let em = (eval != 0).then(|| {
-        walls.time(Stage::Evaluate, || {
-            PathApprox::default().expected_makespan(&sg.pdag)
-        })
-    });
+    let sg = segment_graph_stage(&ctx, &pipe.schedule, &plan).expect("coalescing cannot fail");
+    let em = (eval != 0)
+        .then(|| evaluate_stage(&sg, &PathApprox::default()).expect("expected makespan is finite"));
 
     // FNV-1a over the checkpoint-after bits: any placement difference
     // flips the digest. The formula lives in seedmix::digest now; CI
@@ -96,6 +88,6 @@ fn main() {
          plan_threads={plan_threads} segments={}",
         sg.segments.len()
     );
-    eprintln!("stage walls: {}", walls.report().summary());
+    eprintln!("stage walls: {}", stage_walls_since(&walls));
     obs_out.finish().expect("write observability outputs");
 }

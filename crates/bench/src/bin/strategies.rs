@@ -20,7 +20,8 @@
 use ckpt_bench::engine::{self, CsvFileSink, EngineConfig};
 use ckpt_bench::scenarios::StrategiesScenario;
 use ckpt_bench::summary::EndpointSummary;
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::{stage_walls_since, Args, ObsOut};
+use ckpt_core::stage::wall_seconds;
 
 fn main() {
     let args = Args::parse();
@@ -48,6 +49,7 @@ fn main() {
     let scenario = StrategiesScenario::standard(runs, sizes, seed);
     let path = std::path::Path::new(&out_dir).join("strategies.csv");
     let mut sink = CsvFileSink::new(&path);
+    let walls = wall_seconds();
     let report = engine::run(&scenario, &cfg, &mut sink).expect("write CSV");
     eprintln!(
         "wrote {} rows to {} in {:.1}s ({} workers × {} MC threads)",
@@ -57,7 +59,7 @@ fn main() {
         report.workers,
         report.mc_threads,
     );
-    eprintln!("stage walls: {}", report.stages.summary());
+    eprintln!("stage walls: {}", stage_walls_since(&walls));
     // Per-(policy, model)-block wall-clock attribution (diagnostic
     // only, never part of the CSV).
     for (label, range) in scenario.blocks() {

@@ -20,7 +20,8 @@
 use ckpt_bench::engine::{self, CsvFileSink, EngineConfig};
 use ckpt_bench::scenarios::ValidateScenario;
 use ckpt_bench::summary::EndpointSummary;
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::{stage_walls_since, Args, ObsOut};
+use ckpt_core::stage::wall_seconds;
 
 fn main() {
     let args = Args::parse();
@@ -44,6 +45,7 @@ fn main() {
         mc_threads,
         plan_threads,
     };
+    let walls = wall_seconds();
     let report = engine::run(&scenario, &cfg, &mut sink).expect("write CSV");
     println!(
         "{:8} {:5} {:7} {:9} {:>14} {:>12} {:>12} {:>9}",
@@ -82,6 +84,6 @@ fn main() {
         report.workers,
         report.mc_threads
     );
-    eprintln!("stage walls: {}", report.stages.summary());
+    eprintln!("stage walls: {}", stage_walls_since(&walls));
     obs_out.finish().expect("write observability outputs");
 }

@@ -13,8 +13,9 @@
 //! * [`run`] executes cells on a work-queue thread pool, re-sequencing
 //!   results so the CSV stream is **byte-identical for every thread
 //!   count** (see `DESIGN.md` §5.1 for the determinism argument);
-//! * a [`WorkflowCache`] shares generated instances and CCR-invariant
-//!   schedules across all cells of a `(class, size)` lane;
+//! * one [`ckpt_service::Store`] per run shares generated instances and
+//!   CCR-invariant schedules across all cells of a `(class, size)`
+//!   lane, keyed exactly as `ckpt_service::Session` keys them;
 //! * a [`RowSink`] streams rows out as soon as their canonical
 //!   predecessors exist, replacing the collect-then-write pattern.
 //!
@@ -36,28 +37,44 @@
 //! CkptNone blocks, where one wear-out cell dominates the whole run).
 //! Oversubscribing `workers × mc_threads` past the core count costs
 //! some scheduling overhead but never changes a value.
+//!
+//! ## Stage timing
+//!
+//! Every stage execution inside a cell — the store's generate and
+//! schedule misses, the pipelines' curve, placement, coalescing and
+//! evaluation, and the evaluator and simulator calls scenarios make
+//! directly — runs through `ckpt_core::stage::traced` (or its
+//! infallible twin `charged`), which charges it to
+//! `ckpt_stage_wall_seconds{stage=<StageId>}`. The grid binaries print
+//! the seven totals as their `stage walls:` stderr line (see
+//! [`crate::stage_walls_since`]); the CSV never sees them.
 
-pub mod cache;
 pub mod pool;
 pub mod sink;
 pub mod spec;
-pub mod stage;
 
-pub use cache::{CacheStats, WorkflowCache};
 pub use pool::ordered_parallel;
 pub use sink::{CsvFileSink, NullSink, RowSink, StringSink};
 pub use spec::{CcrAxis, Cell, Grid, ProcAxis, StrategyAxis};
-pub use stage::{Stage, StageReport, StageWalls, STAGES};
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use ckpt_core::stage::{charged, schedule_stage, StageId};
 use ckpt_core::{lambda_from_pfail, AllocateConfig, FailureModel, Pipeline, Platform, Schedule};
+use ckpt_service::{
+    generate_workflow, generated_workflow_key, schedule_key, PlanResult, Store, WorkflowArtifact,
+};
 use mspg::linearize::Linearizer;
 use mspg::Workflow;
 use pegasus::ccr::scale_to_ccr;
 
 use crate::BANDWIDTH;
+
+/// Per-memo capacity of a run's [`Store`]: comfortably above any
+/// shipped grid's per-(class, size, instance) lane count, so eviction
+/// only engages on genuinely huge sweeps.
+pub const STORE_CAPACITY: usize = 512;
 
 /// Engine-wide execution parameters.
 #[derive(Clone, Copy, Debug)]
@@ -97,11 +114,10 @@ impl Default for EngineConfig {
     }
 }
 
-/// Per-cell execution context: the shared cache, the cell's nested
-/// thread budgets, and the shared per-stage wall accumulator.
+/// Per-cell execution context: the run's shared [`Store`] and the
+/// cell's nested thread budgets.
 pub struct CellCtx<'e> {
-    cache: &'e WorkflowCache,
-    stages: &'e StageWalls,
+    store: &'e Store,
     /// Thread budget for Monte Carlo work nested inside one cell
     /// (0 = all cores). Plumb this into `probdag::MonteCarlo::threads` /
     /// `failsim::SimConfig::threads`; it only sets the pace, never the
@@ -112,58 +128,58 @@ pub struct CellCtx<'e> {
     pub plan_threads: usize,
 }
 
-impl CellCtx<'_> {
-    /// Runs `f`, charging its elapsed wall time to `stage` in the run's
-    /// shared [`StageWalls`]. Scenarios wrap their planning and
-    /// evaluation calls in this; generation and scheduling are timed by
-    /// the [`CellCtx`] accessors themselves.
-    #[inline]
-    pub fn timed<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
-        self.stages.time(stage, f)
-    }
+/// Unwraps a store resolution. Grid inputs are valid by construction
+/// and grids never arm fault injection, so a failure here is a bug.
+fn resolved<V>(res: (PlanResult<Arc<V>>, ckpt_service::Outcome)) -> Arc<V> {
+    res.0
+        .unwrap_or_else(|e| panic!("engine store resolution failed: {e}"))
+}
 
+impl CellCtx<'_> {
     /// Seed of instance `i` of this cell's `(class, size)` lane.
     pub fn instance_seed(&self, cell: &Cell, i: usize) -> u64 {
         seedmix::stream_seed(cell.seed, i as u64)
     }
 
-    /// The cached **unscaled** workflow instance `i` of this cell's lane.
-    ///
-    /// Charged to [`Stage::Generate`] (near-zero on cache hits).
-    pub fn instance(&self, cell: &Cell, i: usize) -> Arc<Workflow> {
-        self.timed(Stage::Generate, || {
-            self.cache
-                .workflow(cell.class, cell.size, self.instance_seed(cell, i))
-        })
+    /// The **unscaled** workflow instance `i` of this cell's lane,
+    /// generated on first use.
+    pub fn instance(&self, cell: &Cell, i: usize) -> Arc<WorkflowArtifact> {
+        let seed = self.instance_seed(cell, i);
+        let key = generated_workflow_key(cell.class, cell.size, seed, None);
+        resolved(self.store.workflows.resolve(StageId::Generate, key, || {
+            generate_workflow(cell.class, cell.size, seed, None)
+        }))
     }
 
     /// A clone of instance `i` rescaled to the cell's CCR at the
-    /// experiment bandwidth. Charged to [`Stage::Generate`].
+    /// experiment bandwidth (the rescale is charged to
+    /// [`StageId::Generate`]).
     pub fn scaled_instance(&self, cell: &Cell, i: usize) -> Workflow {
-        let w = self.instance(cell, i);
-        self.timed(Stage::Generate, || {
-            let mut w = (*w).clone();
+        let wa = self.instance(cell, i);
+        charged(StageId::Generate, || {
+            let mut w = wa.workflow.clone();
             scale_to_ccr(&mut w, cell.ccr, BANDWIDTH);
             w
         })
     }
 
-    /// The cached schedule of instance `i` on the cell's processors.
+    /// The schedule of instance `i` on the cell's processors, computed
+    /// on the **unscaled** instance on first use.
     ///
-    /// Charged to [`Stage::Schedule`] (near-zero on cache hits).
+    /// For `Structural`/`RandomTopo` linearizers this is bit-identical to
+    /// scheduling any CCR-rescaled clone; for `MinVolume` (which ranks by
+    /// data volume) uniform rescaling preserves the ranking up to
+    /// floating-point ties, and the unscaled order is the canonical one.
     pub fn schedule(&self, cell: &Cell, i: usize, linearizer: Linearizer) -> Arc<Schedule> {
-        self.timed(Stage::Schedule, || {
-            self.cache.schedule(
-                cell.class,
-                cell.size,
-                self.instance_seed(cell, i),
-                cell.procs,
-                &AllocateConfig {
-                    linearizer,
-                    seed: 0, // overwritten by the cache with the instance seed
-                },
-            )
-        })
+        let wa = self.instance(cell, i);
+        let alloc = AllocateConfig {
+            linearizer,
+            seed: self.instance_seed(cell, i),
+        };
+        let key = schedule_key(&wa.fp, cell.procs, &alloc);
+        resolved(self.store.schedules.resolve(StageId::Schedule, key, || {
+            schedule_stage(&wa.workflow, cell.procs, &alloc)
+        }))
     }
 
     /// The evaluation pipeline of the rescaled instance `w` (a clone
@@ -242,14 +258,38 @@ pub struct RunReport<R> {
     pub mc_threads: usize,
     /// Per-superchain placement budget each pipeline received.
     pub plan_threads: usize,
-    /// Per-stage wall seconds, summed across workers (diagnostic only —
-    /// never part of the CSV). Only stages a scenario routes through
-    /// [`CellCtx::timed`] (or the timed accessors) are non-zero.
-    pub stages: StageReport,
     /// Wall-clock seconds for the whole run.
     pub wall: f64,
-    /// Workflow/schedule cache counters.
+    /// Workflow/schedule store counters.
     pub cache: CacheStats,
+}
+
+/// Workflow/schedule counters of one run's [`Store`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CacheStats {
+    /// Instance lookups served from the store.
+    pub workflow_hits: usize,
+    /// Instance lookups that generated a new instance.
+    pub workflow_misses: usize,
+    /// Schedule lookups served from the store.
+    pub schedule_hits: usize,
+    /// Schedule lookups that ran `Allocate`.
+    pub schedule_misses: usize,
+    /// Entries dropped by the capacity bound.
+    pub evictions: usize,
+}
+
+impl CacheStats {
+    fn of(store: &Store) -> Self {
+        let (w, s) = (store.workflows.stats(), store.schedules.stats());
+        CacheStats {
+            workflow_hits: w.hits as usize,
+            workflow_misses: w.misses as usize,
+            schedule_hits: s.hits as usize,
+            schedule_misses: s.misses as usize,
+            evictions: store.stats().totals.evictions as usize,
+        }
+    }
 }
 
 /// Wraps a sink I/O error with the scenario (and cell) it occurred on,
@@ -297,11 +337,9 @@ pub fn run<S: Scenario>(
         .min(cells.len())
         .max(1);
     let mc_threads = cfg.mc_threads;
-    let cache = WorkflowCache::new();
-    let stages = StageWalls::new();
+    let store = Store::bounded(STORE_CAPACITY);
     let ctx = CellCtx {
-        cache: &cache,
-        stages: &stages,
+        store: &store,
         mc_threads,
         plan_threads: cfg.plan_threads,
     };
@@ -360,9 +398,8 @@ pub fn run<S: Scenario>(
         workers,
         mc_threads,
         plan_threads: cfg.plan_threads,
-        stages: stages.report(),
         wall: start.elapsed().as_secs_f64(),
-        cache: cache.stats(),
+        cache: CacheStats::of(&store),
     })
 }
 
@@ -400,7 +437,7 @@ mod tests {
         fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<Self::Row> {
             let mut tasks = 0;
             for i in 0..cell.instances {
-                tasks = ctx.instance(cell, i).n_tasks();
+                tasks = ctx.instance(cell, i).workflow.n_tasks();
             }
             vec![(cell.index, tasks, cell.seed)]
         }
@@ -446,6 +483,74 @@ mod tests {
         assert_eq!(report.cache.workflow_hits, 10);
     }
 
+    /// A context over `store` and a Montage-50 cell on `procs`.
+    fn lane(store: &Store, procs: usize) -> (CellCtx<'_>, Cell) {
+        let ctx = CellCtx {
+            store,
+            mc_threads: 1,
+            plan_threads: 1,
+        };
+        let cell = Cell {
+            index: 0,
+            class: WorkflowClass::Montage,
+            size: 50,
+            procs,
+            pfail: 0.01,
+            ccr: 0.1,
+            strategy: None,
+            instances: 2,
+            seed: 3,
+        };
+        (ctx, cell)
+    }
+
+    #[test]
+    fn workflow_generated_once_per_key() {
+        let store = Store::new();
+        let (ctx, cell) = lane(&store, 5);
+        let a = ctx.instance(&cell, 0);
+        let b = ctx.instance(&cell, 0);
+        assert!(Arc::ptr_eq(&a, &b));
+        let stats = CacheStats::of(&store);
+        assert_eq!((stats.workflow_misses, stats.workflow_hits), (1, 1));
+        // Another instance of the lane is another key.
+        let c = ctx.instance(&cell, 1);
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(CacheStats::of(&store).workflow_misses, 2);
+    }
+
+    #[test]
+    fn schedules_key_on_procs_and_linearizer() {
+        let store = Store::new();
+        let (ctx, cell5) = lane(&store, 5);
+        let (_, cell7) = lane(&store, 7);
+        let a = ctx.schedule(&cell5, 0, Linearizer::RandomTopo);
+        let b = ctx.schedule(&cell5, 0, Linearizer::RandomTopo);
+        assert!(Arc::ptr_eq(&a, &b));
+        let c = ctx.schedule(&cell7, 0, Linearizer::RandomTopo);
+        assert!(!Arc::ptr_eq(&a, &c));
+        let d = ctx.schedule(&cell5, 0, Linearizer::Structural);
+        assert!(!Arc::ptr_eq(&a, &d));
+        let stats = CacheStats::of(&store);
+        assert_eq!((stats.schedule_misses, stats.schedule_hits), (3, 1));
+    }
+
+    #[test]
+    fn stored_schedule_equals_direct_allocate_on_the_unscaled_instance() {
+        let store = Store::new();
+        let (ctx, cell) = lane(&store, 5);
+        let w = ctx.instance(&cell, 1);
+        for linearizer in [Linearizer::RandomTopo, Linearizer::MinVolume] {
+            let stored = ctx.schedule(&cell, 1, linearizer);
+            let cfg = AllocateConfig {
+                linearizer,
+                seed: ctx.instance_seed(&cell, 1),
+            };
+            let direct = ckpt_core::allocate(&w.workflow, cell.procs, &cfg);
+            assert_eq!(stored.superchains, direct.superchains, "{linearizer:?}");
+        }
+    }
+
     #[test]
     fn mc_budget_is_independent_of_cell_workers() {
         // Cell workers cap at the cell count; the nested MC budget is
@@ -466,22 +571,6 @@ mod tests {
         let report = run(&Probe, &cfg, &mut NullSink).unwrap();
         assert_eq!(report.mc_threads, 3);
         assert_eq!(report.plan_threads, 4);
-    }
-
-    // The stage clock is `obs::span::timed`, which reports zero
-    // nanoseconds when the observability layer is compiled out — so the
-    // positive half of this assertion only holds with `observe` on.
-    #[cfg(feature = "observe")]
-    #[test]
-    fn timed_accessors_fill_the_stage_report() {
-        let report = run(&Probe, &EngineConfig::with_threads(1), &mut NullSink).unwrap();
-        // Probe only generates instances: Generate accumulates, the
-        // untouched stages stay exactly zero.
-        assert!(report.stages.generate > 0.0);
-        assert_eq!(report.stages.schedule, 0.0);
-        assert_eq!(report.stages.plan, 0.0);
-        assert_eq!(report.stages.evaluate, 0.0);
-        assert!(report.stages.summary().starts_with("generate "));
     }
 
     /// A sink that fails on the nth row.

@@ -24,6 +24,12 @@
 //! * `whatif` — the batched what-if query load, incremental vs cold
 //!   recompute (not grid-driven: it exercises `ckpt_service` directly;
 //!   `splitting` and `planscale` are likewise direct harnesses).
+//!
+//! The engine resolves workflow instances and schedules through the same
+//! `ckpt_service::Store` and key functions as the what-if `Session`, and
+//! every stage execution is timed under its `ckpt_core::StageId`; each
+//! binary prints those seven totals as its `stage walls:` stderr line
+//! ([`stage_walls_since`]).
 
 pub mod engine;
 pub mod scenarios;
@@ -32,11 +38,12 @@ pub mod summary;
 use std::fmt::Write as _;
 use std::path::Path;
 
+use ckpt_core::stage::{charged, wall_seconds, StageId};
 use ckpt_core::{lambda_from_pfail, AllocateConfig, Pipeline, Platform, Strategy};
 use mspg::Workflow;
 use pegasus::ccr::scale_to_ccr;
 use pegasus::WorkflowClass;
-use probdag::{Evaluator, PathApprox};
+use probdag::PathApprox;
 
 /// Stable-storage bandwidth used throughout the experiments (bytes/s).
 /// Its absolute value is immaterial: every experiment pins the CCR by
@@ -79,12 +86,14 @@ pub struct FigureRow {
     pub rel_none: f64,
 }
 
-/// Runs one figure cell, averaging over `instances` generated workflows.
+/// Runs one figure cell, averaging over `instances` generated workflows:
+/// instance `i` lives on seed `base_seed + i` and is scheduled by its
+/// own `Allocate`.
 ///
-/// This is the serial reference implementation the calibration gates in
+/// This is the serial path the calibration gates in
 /// `tests/figure_shapes.rs` pin; the binaries and [`figure_grid`] run
-/// the cache-sharing engine path ([`scenarios::FigureScenario`])
-/// instead.
+/// the store-sharing engine path ([`scenarios::FigureScenario`]). Both
+/// compute the row with the same per-instance assessment.
 pub fn figure_cell(
     class: WorkflowClass,
     size: usize,
@@ -94,44 +103,62 @@ pub fn figure_cell(
     instances: usize,
     base_seed: u64,
 ) -> FigureRow {
-    assert!(instances >= 1);
+    let cell = engine::Cell {
+        index: 0,
+        class,
+        size,
+        procs,
+        pfail,
+        ccr,
+        strategy: None,
+        instances,
+        seed: base_seed,
+    };
+    let seed = |i: usize| base_seed.wrapping_add(i as u64);
+    figure_row(
+        &cell,
+        |i| instance(class, size, ccr, seed(i)),
+        |i, w| pipeline_for(w, procs, pfail, seed(i)),
+    )
+}
+
+/// The figure experiments' per-cell computation: for each of the
+/// cell's instances, `scaled(i)` yields the CCR-rescaled workflow and
+/// `pipeline(i, w)` its evaluation pipeline; CkptSome, CkptAll and
+/// CkptNone are assessed and averaged into one row.
+pub(crate) fn figure_row(
+    cell: &engine::Cell,
+    scaled: impl Fn(usize) -> Workflow,
+    pipeline: impl Fn(usize, &Workflow) -> Pipeline<'_>,
+) -> FigureRow {
+    assert!(cell.instances >= 1);
     let evaluator = PathApprox::default();
     let (mut em_some, mut em_all, mut em_none) = (0.0, 0.0, 0.0);
     let mut ckpts = 0usize;
     let mut actual = 0usize;
-    for i in 0..instances {
-        let seed = base_seed.wrapping_add(i as u64);
-        let mut w = pegasus::generate(class, size, seed);
+    for i in 0..cell.instances {
+        let w = scaled(i);
         actual = w.n_tasks();
-        scale_to_ccr(&mut w, ccr, BANDWIDTH);
-        let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
-        let platform = Platform::new(procs, lambda, BANDWIDTH);
-        let cfg = AllocateConfig {
-            seed,
-            ..Default::default()
-        };
-        let pipe = Pipeline::new(&w, platform, &cfg);
+        let pipe = pipeline(i, &w);
         let some = pipe.assess(Strategy::CkptSome, &evaluator);
-        let all = pipe.assess(Strategy::CkptAll, &evaluator);
-        let none = pipe.assess(Strategy::CkptNone, &evaluator);
         em_some += some.expected_makespan;
-        em_all += all.expected_makespan;
-        em_none += none.expected_makespan;
         ckpts += some.n_checkpoints;
+        em_all += pipe.assess(Strategy::CkptAll, &evaluator).expected_makespan;
+        em_none += theorem1_em(&pipe);
     }
-    let nf = instances as f64;
+    let nf = cell.instances as f64;
     let (em_some, em_all, em_none) = (em_some / nf, em_all / nf, em_none / nf);
     FigureRow {
-        class,
-        size,
+        class: cell.class,
+        size: cell.size,
         actual_tasks: actual,
-        procs,
-        pfail,
-        ccr,
+        procs: cell.procs,
+        pfail: cell.pfail,
+        ccr: cell.ccr,
         em_some,
         em_all,
         em_none,
-        ckpts_some: ckpts / instances,
+        ckpts_some: ckpts / cell.instances,
         rel_all: em_all / em_some,
         rel_none: em_none / em_some,
     }
@@ -210,11 +237,26 @@ pub fn pipeline_for<'a>(w: &'a Workflow, procs: usize, pfail: f64, seed: u64) ->
     Pipeline::new(w, platform, &cfg)
 }
 
-/// Times a single evaluator invocation, returning `(estimate, seconds)`.
-pub fn timed_eval(e: &dyn Evaluator, pdag: &probdag::ProbDag) -> (f64, f64) {
-    let start = std::time::Instant::now();
-    let v = e.expected_makespan(pdag);
-    (v, start.elapsed().as_secs_f64())
+/// CkptNone's expected makespan on `pipe`: the Theorem 1 closed form,
+/// which no stage function runs, so it is charged to
+/// [`StageId::EvalAnalytic`] here.
+pub(crate) fn theorem1_em(pipe: &Pipeline<'_>) -> f64 {
+    charged(StageId::EvalAnalytic, || {
+        pipe.assess(Strategy::CkptNone, &PathApprox::default())
+    })
+    .expected_makespan
+}
+
+/// The grid binaries' `stage walls:` stderr line: seconds each
+/// [`StageId`] spent executing since `start` (a
+/// [`ckpt_core::stage::wall_seconds`] snapshot), summed across workers.
+pub fn stage_walls_since(start: &[f64; 7]) -> String {
+    let now = wall_seconds();
+    StageId::ALL
+        .iter()
+        .map(|&s| format!("{} {:.2}s", s.name(), now[s as usize] - start[s as usize]))
+        .collect::<Vec<_>>()
+        .join(" | ")
 }
 
 /// Tiny `--key value` argument parser for the harness binaries.

@@ -7,11 +7,10 @@
 //! ([`StrategiesScenario`]) along the checkpoint-policy axis (the DP vs
 //! Young/Daly periodic, risk-threshold, and structural placements).
 
-use ckpt_core::policy::{
-    CheckpointPolicy, CkptAllPolicy, DalyPeriodic, DpOptimalPolicy, ExitOnlyPolicy,
-    GreedyCrossover, RiskThreshold,
-};
+use ckpt_core::policy::CheckpointPolicy;
+use ckpt_core::stage::{charged, StageId};
 use ckpt_core::{allocate, AllocateConfig, FailureModel, Schedule, Strategy};
+use ckpt_service::PolicySpec;
 use failsim::{
     montecarlo_none, montecarlo_none_model, montecarlo_segments, montecarlo_segments_model,
     SimConfig,
@@ -22,8 +21,10 @@ use pegasus::ccr::scale_to_ccr;
 use pegasus::WorkflowClass;
 use probdag::{Dodin, Evaluator, MonteCarlo, NormalSculli, PathApprox};
 
-use crate::engine::{CcrAxis, Cell, CellCtx, Grid, ProcAxis, Scenario, Stage, StrategyAxis};
-use crate::{figure_csv, timed_eval, FigureRow, BANDWIDTH, FIGURE_HEADER, PFAILS, SIZES};
+use crate::engine::{CcrAxis, Cell, CellCtx, Grid, ProcAxis, Scenario, StrategyAxis};
+use crate::{
+    figure_csv, figure_row, theorem1_em, FigureRow, BANDWIDTH, FIGURE_HEADER, PFAILS, SIZES,
+};
 
 /// E1/E2/E3 — one figure: relative expected makespan of CkptAll and
 /// CkptNone over CkptSome across the CCR sweep.
@@ -83,49 +84,11 @@ impl Scenario for FigureScenario {
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<FigureRow> {
-        let evaluator = PathApprox::default();
-        let (mut em_some, mut em_all, mut em_none) = (0.0, 0.0, 0.0);
-        let mut ckpts = 0usize;
-        let mut actual = 0usize;
-        for i in 0..cell.instances {
-            let w = ctx.scaled_instance(cell, i);
-            actual = w.n_tasks();
-            let pipe = ctx.pipeline(cell, i, &w, Linearizer::RandomTopo);
-            // assess = segment_graph (Plan) + assess_graph (Evaluate);
-            // split so the stage walls attribute each half.
-            let assess = |strategy: Strategy| {
-                let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
-                ctx.timed(Stage::Evaluate, || {
-                    pipe.assess_graph(strategy.name(), &sg, &evaluator)
-                })
-            };
-            let some = assess(Strategy::CkptSome);
-            em_some += some.expected_makespan;
-            ckpts += some.n_checkpoints;
-            em_all += assess(Strategy::CkptAll).expected_makespan;
-            // CkptNone is the Theorem 1 closed form — no planning stage.
-            em_none += ctx
-                .timed(Stage::Evaluate, || {
-                    pipe.assess(Strategy::CkptNone, &evaluator)
-                })
-                .expected_makespan;
-        }
-        let nf = cell.instances as f64;
-        let (em_some, em_all, em_none) = (em_some / nf, em_all / nf, em_none / nf);
-        vec![FigureRow {
-            class: cell.class,
-            size: cell.size,
-            actual_tasks: actual,
-            procs: cell.procs,
-            pfail: cell.pfail,
-            ccr: cell.ccr,
-            em_some,
-            em_all,
-            em_none,
-            ckpts_some: ckpts / cell.instances,
-            rel_all: em_all / em_some,
-            rel_none: em_none / em_some,
-        }]
+        vec![figure_row(
+            cell,
+            |i| ctx.scaled_instance(cell, i),
+            |i, w| ctx.pipeline(cell, i, w, Linearizer::RandomTopo),
+        )]
     }
 
     fn header(&self) -> String {
@@ -203,33 +166,33 @@ impl Scenario for AccuracyScenario {
         let strategy = cell.strategy.expect("accuracy cells carry a strategy");
         let w = ctx.scaled_instance(cell, 0);
         let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
-        let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
+        let sg = pipe.segment_graph(strategy);
         let mc = MonteCarlo {
             trials: self.trials,
             seed: ctx.instance_seed(cell, 0),
             threads: ctx.mc_threads,
         };
-        let (truth, evals) = ctx.timed(Stage::Evaluate, || {
+        let (truth, mc_time) = charged(StageId::EvalMc, || {
             let t0 = std::time::Instant::now();
             let truth = mc.run(&sg.pdag);
-            let mc_time = t0.elapsed().as_secs_f64();
-            let evals: Vec<(&'static str, f64, f64)> = vec![
-                ("MonteCarlo", truth.mean, mc_time),
-                {
-                    let (v, t) = timed_eval(&Dodin::default(), &sg.pdag);
-                    ("Dodin", v, t)
-                },
-                {
-                    let (v, t) = timed_eval(&NormalSculli, &sg.pdag);
-                    ("Normal", v, t)
-                },
-                {
-                    let (v, t) = timed_eval(&PathApprox::default(), &sg.pdag);
-                    ("PathApprox", v, t)
-                },
-            ];
-            (truth, evals)
+            (truth, t0.elapsed().as_secs_f64())
         });
+        let analytic = |name, e: &dyn Evaluator| {
+            charged(StageId::EvalAnalytic, || {
+                let t0 = std::time::Instant::now();
+                (
+                    name,
+                    e.expected_makespan(&sg.pdag),
+                    t0.elapsed().as_secs_f64(),
+                )
+            })
+        };
+        let evals = [
+            ("MonteCarlo", truth.mean, mc_time),
+            analytic("Dodin", &Dodin::default()),
+            analytic("Normal", &NormalSculli),
+            analytic("PathApprox", &PathApprox::default()),
+        ];
         evals
             .into_iter()
             .map(|(name, v, t)| AccuracyRow {
@@ -344,9 +307,11 @@ impl Scenario for ValidateScenario {
             // simulation (assess = segment_graph + evaluator, so this is
             // bit-identical to assessing separately at half the planning
             // cost).
-            let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
-            let model = ctx.timed(Stage::Evaluate, || evaluator.expected_makespan(&sg.pdag));
-            let sim = ctx.timed(Stage::Evaluate, || montecarlo_segments(&sg, lambda, &cfg));
+            let sg = pipe.segment_graph(strategy);
+            let model = charged(StageId::EvalAnalytic, || {
+                evaluator.expected_makespan(&sg.pdag)
+            });
+            let sim = charged(StageId::EvalMc, || montecarlo_segments(&sg, lambda, &cfg));
             rows.push(ValidateRow {
                 class: cell.class,
                 size: cell.size,
@@ -360,12 +325,8 @@ impl Scenario for ValidateScenario {
                 diverged: 0,
             });
         }
-        let model = ctx
-            .timed(Stage::Evaluate, || {
-                pipe.assess(Strategy::CkptNone, &evaluator)
-            })
-            .expected_makespan;
-        let sim = ctx.timed(Stage::Evaluate, || {
+        let model = theorem1_em(&pipe);
+        let sim = charged(StageId::EvalMc, || {
             montecarlo_none(&w.dag, &pipe.schedule, lambda, &cfg)
         });
         rows.push(ValidateRow {
@@ -463,12 +424,9 @@ impl Scenario for LinearizationScenario {
         let w = ctx.scaled_instance(cell, 0);
         let evaluator = PathApprox::default();
         let em = |lin: Linearizer| {
-            let pipe = ctx.pipeline(cell, 0, &w, lin);
-            let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(Strategy::CkptSome));
-            ctx.timed(Stage::Evaluate, || {
-                pipe.assess_graph(Strategy::CkptSome.name(), &sg, &evaluator)
-            })
-            .expected_makespan
+            ctx.pipeline(cell, 0, &w, lin)
+                .assess(Strategy::CkptSome, &evaluator)
+                .expected_makespan
         };
         let em_random = em(Linearizer::RandomTopo);
         let em_minvolume = em(Linearizer::MinVolume);
@@ -560,13 +518,7 @@ impl Scenario for NaiveCoalesceScenario {
         let w = ctx.scaled_instance(cell, 0);
         let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
         let evaluator = PathApprox::default();
-        let em = |strategy: Strategy| {
-            let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
-            ctx.timed(Stage::Evaluate, || {
-                pipe.assess_graph(strategy.name(), &sg, &evaluator)
-            })
-            .expected_makespan
-        };
+        let em = |strategy: Strategy| pipe.assess(strategy, &evaluator).expected_makespan;
         let em_exit_only = em(Strategy::ExitOnly);
         let em_ckptsome = em(Strategy::CkptSome);
         vec![NaiveCoalesceRow {
@@ -668,7 +620,7 @@ impl LigoFootnoteScenario {
     }
 
     fn rel_all(&self, w: &Workflow, schedule: &Schedule, cell: &Cell, ctx: &CellCtx<'_>) -> f64 {
-        let w = ctx.timed(Stage::Generate, || {
+        let w = charged(StageId::Generate, || {
             let mut w = w.clone();
             scale_to_ccr(&mut w, cell.ccr, BANDWIDTH);
             w
@@ -678,13 +630,7 @@ impl LigoFootnoteScenario {
         let pipe = ckpt_core::Pipeline::with_schedule(&w, platform, schedule.clone())
             .with_plan_threads(ctx.plan_threads);
         let evaluator = PathApprox::default();
-        let em = |strategy: Strategy| {
-            let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
-            ctx.timed(Stage::Evaluate, || {
-                pipe.assess_graph(strategy.name(), &sg, &evaluator)
-            })
-            .expected_makespan
-        };
+        let em = |strategy: Strategy| pipe.assess(strategy, &evaluator).expected_makespan;
         em(Strategy::CkptAll) / em(Strategy::CkptSome)
     }
 }
@@ -979,19 +925,17 @@ impl Scenario for DistributionsScenario {
         for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::ExitOnly] {
             // One segment graph per strategy for both columns (see
             // ValidateScenario::run_cell).
-            let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
-            let model_em = ctx.timed(Stage::Evaluate, || evaluator.expected_makespan(&sg.pdag));
-            let sim = ctx.timed(Stage::Evaluate, || {
+            let sg = pipe.segment_graph(strategy);
+            let model_em = charged(StageId::EvalAnalytic, || {
+                evaluator.expected_makespan(&sg.pdag)
+            });
+            let sim = charged(StageId::EvalMc, || {
                 montecarlo_segments_model(&sg, &model, &cfg)
             });
             row(strategy, model_em, sim.mean_makespan, sim.stderr, 0);
         }
-        let model_em = ctx
-            .timed(Stage::Evaluate, || {
-                pipe.assess(Strategy::CkptNone, &evaluator)
-            })
-            .expected_makespan;
-        let sim = ctx.timed(Stage::Evaluate, || {
+        let model_em = theorem1_em(&pipe);
+        let sim = charged(StageId::EvalMc, || {
             montecarlo_none_model(&w.dag, &pipe.schedule, &model, &cfg)
         });
         row(
@@ -1051,16 +995,22 @@ pub enum PolicyChoice {
 }
 
 impl PolicyChoice {
+    /// The what-if service's specification of this policy, which
+    /// builds and names it.
+    fn spec(self) -> PolicySpec {
+        match self {
+            PolicyChoice::DpOptimal => PolicySpec::DpOptimal,
+            PolicyChoice::CkptAll => PolicySpec::CkptAll,
+            PolicyChoice::ExitOnly => PolicySpec::ExitOnly,
+            PolicyChoice::Daly => PolicySpec::Daly { period: None },
+            PolicyChoice::Risk { max_risk } => PolicySpec::Risk { max_risk },
+            PolicyChoice::Crossover => PolicySpec::Crossover,
+        }
+    }
+
     /// Builds the policy object this choice names.
     pub fn instantiate(&self) -> Box<dyn CheckpointPolicy> {
-        match *self {
-            PolicyChoice::DpOptimal => Box::new(DpOptimalPolicy),
-            PolicyChoice::CkptAll => Box::new(CkptAllPolicy),
-            PolicyChoice::ExitOnly => Box::new(ExitOnlyPolicy),
-            PolicyChoice::Daly => Box::new(DalyPeriodic::auto()),
-            PolicyChoice::Risk { max_risk } => Box::new(RiskThreshold::new(max_risk)),
-            PolicyChoice::Crossover => Box::new(GreedyCrossover),
-        }
+        self.spec().build()
     }
 
     /// The policy's display name (CSV label). Knob values are **not**
@@ -1068,14 +1018,7 @@ impl PolicyChoice {
     /// per policy family — two `Risk` points would emit
     /// indistinguishable rows.
     pub fn name(&self) -> &'static str {
-        match *self {
-            PolicyChoice::DpOptimal => DpOptimalPolicy.name(),
-            PolicyChoice::CkptAll => CkptAllPolicy.name(),
-            PolicyChoice::ExitOnly => ExitOnlyPolicy.name(),
-            PolicyChoice::Daly => DalyPeriodic::auto().name(),
-            PolicyChoice::Risk { .. } => "RiskThreshold",
-            PolicyChoice::Crossover => GreedyCrossover.name(),
-        }
+        self.spec().name()
     }
 }
 
@@ -1269,10 +1212,8 @@ impl Scenario for StrategiesScenario {
         let policy = choice.instantiate();
         // One segment graph serves the analytic assessment (with its
         // placement census) and the simulation ground truth.
-        let sg = ctx.timed(Stage::Plan, || pipe.segment_graph_policy(policy.as_ref()));
-        let assessment = ctx.timed(Stage::Evaluate, || {
-            pipe.assess_graph(policy.name(), &sg, &PathApprox::default())
-        });
+        let sg = pipe.segment_graph_policy(policy.as_ref());
+        let assessment = pipe.assess_graph(policy.name(), &sg, &PathApprox::default());
         let cfg = SimConfig {
             runs: self.runs,
             seed: ctx.instance_seed(cell, 0),
@@ -1280,7 +1221,7 @@ impl Scenario for StrategiesScenario {
             max_failures: 10_000,
             ..Default::default()
         };
-        let sim = ctx.timed(Stage::Evaluate, || {
+        let sim = charged(StageId::EvalMc, || {
             montecarlo_segments_model(&sg, &model, &cfg)
         });
         vec![StrategyRow {
@@ -1410,7 +1351,7 @@ impl DriftScenario {
     /// The drift ladder every cell walks: `(kind, param, delta)`
     /// triples, committed in order.
     fn ladder(&self, procs: usize) -> Vec<(&'static str, f64, ckpt_service::WhatIf)> {
-        use ckpt_service::{ModelSpec, PolicySpec, WhatIf};
+        use ckpt_service::{ModelSpec, WhatIf};
         let p = self.pfail;
         vec![
             ("baseline", p, WhatIf::Nop),
@@ -1481,14 +1422,12 @@ impl Scenario for DriftScenario {
         let mut rows = Vec::new();
         for (step, (kind, param, delta)) in self.ladder(cell.procs).into_iter().enumerate() {
             session.apply(&delta);
-            let answer = ctx.timed(Stage::Plan, || session.baseline());
+            let answer = session.baseline();
             if self.self_check {
                 // The soundness bar: a fresh session (empty store) on
                 // the drifted inputs must reproduce the incremental
                 // answer bit for bit.
-                let cold = ctx.timed(Stage::Evaluate, || {
-                    Session::new(session.inputs().clone()).baseline()
-                });
+                let cold = Session::new(session.inputs().clone()).baseline();
                 assert_eq!(
                     answer.expected_makespan.to_bits(),
                     cold.expected_makespan.to_bits(),

@@ -2,8 +2,8 @@
 //! 10 acceptance bar): running a grid with the span recorder **armed**
 //! must emit the exact same CSV bytes as running it untraced, while
 //! producing a complete, schema-valid span tree — one grid root, one
-//! `cell` span per cell attached under it, engine stage spans nested
-//! inside the cells. Gated on `observe` (a default feature; a
+//! `cell` span per cell attached under it, store-resolution and stage
+//! spans nested inside the cells. Gated on `observe` (a default feature; a
 //! `--no-default-features` build compiles the layer out entirely).
 
 #![cfg(feature = "observe")]
@@ -64,8 +64,14 @@ fn traced_figure_grid_is_byte_identical_and_fully_spanned() {
         .collect();
     ords.sort_unstable();
     assert_eq!((0..n_cells as u64).collect::<Vec<_>>(), ords);
-    // Engine stage spans nest inside cells, and every line is wire-valid.
-    assert!(spans.iter().any(|s| s.name == "engine.generate"));
+    // Store resolutions and stage executions nest inside cells, under
+    // the same names the service uses, and every line is wire-valid.
+    for name in ["resolve.generate", "stage.placement", "stage.segment_graph"] {
+        assert!(
+            spans.iter().any(|s| s.name == name),
+            "no `{name}` span in the figure trace"
+        );
+    }
     for span in &spans {
         let line = obs::jsonl::to_line(span);
         obs::jsonl::validate_line(&line)

@@ -5,7 +5,7 @@
 use mspg::Workflow;
 use probdag::Evaluator;
 
-use crate::allocate::{allocate, AllocateConfig};
+use crate::allocate::AllocateConfig;
 use crate::checkpoint_dp::CostCtx;
 use crate::coalesce::{CheckpointPlan, SegmentGraph};
 use crate::failure_model::{FailureModel, RestartCurve};
@@ -141,17 +141,12 @@ pub struct Pipeline<'a> {
 }
 
 impl<'a> Pipeline<'a> {
-    /// Schedules `workflow` on `platform` with `Allocate`.
+    /// Schedules `workflow` on `platform` with `Allocate` (the schedule
+    /// stage).
     pub fn new(workflow: &'a Workflow, platform: Platform, cfg: &AllocateConfig) -> Self {
-        let schedule = allocate(workflow, platform.n_procs, cfg);
-        Pipeline {
-            workflow,
-            platform,
-            schedule,
-            curve: stage::curve_stage(&workflow.dag, &platform)
-                .expect("Pipeline inputs are valid by construction"),
-            plan_threads: 1,
-        }
+        let schedule = stage::schedule_stage(workflow, platform.n_procs, cfg)
+            .expect("Pipeline inputs are valid by construction");
+        Self::with_schedule(workflow, platform, schedule)
     }
 
     /// Builds a pipeline around a schedule computed elsewhere.
@@ -323,6 +318,7 @@ impl<'a> Pipeline<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocate::allocate;
     use crate::pfail::lambda_from_pfail;
     use pegasus::ccr::scale_to_ccr;
     use pegasus::{generate, WorkflowClass};

@@ -163,21 +163,13 @@ pub fn model_fp(m: &FailureModel) -> u64 {
     h.finish()
 }
 
-/// Fingerprints a scheduling configuration: linearizer tag + seed.
+/// Fingerprints a scheduling configuration: linearizer (by its
+/// declaration-order discriminant) + seed.
 pub fn allocate_config_fp(cfg: &AllocateConfig) -> u64 {
     let mut h = Fnv1a::tagged(tag::ALLOC_CFG);
-    h.write_word(linearizer_tag(cfg.linearizer));
+    h.write_word(cfg.linearizer as u64);
     h.write_word(cfg.seed);
     h.finish()
-}
-
-/// Stable numeric tag of a linearizer (also the engine cache key part).
-pub fn linearizer_tag(l: Linearizer) -> u64 {
-    match l {
-        Linearizer::Structural => 0,
-        Linearizer::RandomTopo => 1,
-        Linearizer::MinVolume => 2,
-    }
 }
 
 /// Does this linearizer read file sizes? `MinVolume` orders by live

@@ -30,8 +30,13 @@
 //!
 //! Two stage ids have no function here: `Generate` (workflow synthesis
 //! lives in the `pegasus` crate, upstream of this one) and `EvalMc`
-//! (discrete-event simulation lives in `failsim`, downstream). The
-//! service invokes those crates directly under the same stage ids.
+//! (discrete-event simulation lives in `failsim`, downstream). Both
+//! front ends — the service's sessions and the bench harness's grid
+//! engine — invoke those crates directly under the same stage ids,
+//! through [`traced`] or [`charged`], so every stage execution lands in
+//! one per-[`StageId`] wall histogram ([`wall_seconds`]).
+
+use std::sync::OnceLock;
 
 use mspg::{Dag, Workflow};
 use probdag::Evaluator;
@@ -149,21 +154,60 @@ pub fn inject(stage: StageId) -> PlanResult<()> {
 }
 
 /// Run `f` inside an execution span named [`StageId::site`], marking
-/// the span failed if `f` errors. This is the one wrapper every stage
-/// execution goes through — the in-crate stage functions below use it,
-/// and the service reuses it for the two stages whose functions live
-/// outside this crate (`Generate` in `pegasus`, `EvalMc` in `failsim`).
+/// the span failed if `f` errors, and charge its wall time to the
+/// `ckpt_stage_wall_seconds{stage=<name>}` histogram. This is the one
+/// wrapper every stage execution goes through — the in-crate stage
+/// functions below use it, and both front ends reuse it for the stages
+/// whose functions live outside this crate (`Generate` in `pegasus`,
+/// `EvalMc` in `failsim`).
 ///
-/// Observability contract: the span layer only *observes* `f` — it
-/// never alters the value flowing out, and without the `observe`
-/// feature this compiles to a plain call of `f`.
+/// Observability contract: the span and the histogram only *observe*
+/// `f` — they never alter the value flowing out. Without the `observe`
+/// feature the span is a no-op and the stub clock reads 0, so this
+/// compiles to a plain call of `f`.
 pub fn traced<T>(stage: StageId, f: impl FnOnce() -> PlanResult<T>) -> PlanResult<T> {
+    run_timed(stage, f, Result::is_err)
+}
+
+/// [`traced`] for stage work that cannot fail: an evaluator or
+/// simulator called directly rather than through [`evaluate_stage`],
+/// or a CCR rescale of a generated instance. Charged exactly like a
+/// stage-function execution.
+pub fn charged<T>(stage: StageId, f: impl FnOnce() -> T) -> T {
+    run_timed(stage, f, |_| false)
+}
+
+fn run_timed<T>(stage: StageId, f: impl FnOnce() -> T, failed: impl FnOnce(&T) -> bool) -> T {
     let mut span = obs::span::enter(stage.site());
+    let clock = obs::span::Stopwatch::start();
     let out = f();
-    if out.is_err() {
+    let nanos = clock.elapsed_ns();
+    span.set_duration_ns(nanos);
+    wall_histograms()[stage as usize].observe_ns(nanos);
+    if failed(&out) {
         span.set_outcome(obs::span::SpanOutcome::Failed);
     }
     out
+}
+
+/// The seven `ckpt_stage_wall_seconds` handles, in [`StageId::ALL`]
+/// order, resolved once so stage executions never take the registry
+/// lock.
+fn wall_histograms() -> &'static [obs::metrics::Histogram; 7] {
+    static HISTS: OnceLock<[obs::metrics::Histogram; 7]> = OnceLock::new();
+    HISTS.get_or_init(|| {
+        StageId::ALL.map(|s| {
+            obs::metrics::labeled_histogram_seconds("ckpt_stage_wall_seconds", "stage", s.name())
+        })
+    })
+}
+
+/// Seconds each stage has spent executing in this process so far (since
+/// the last `obs::metrics::reset`), in [`StageId::ALL`] order. Summed
+/// across threads, so with `N` busy workers the total can reach `N ×`
+/// the elapsed wall clock. All zero without the `observe` feature.
+pub fn wall_seconds() -> [f64; 7] {
+    wall_histograms().each_ref().map(|h| h.sum())
 }
 
 /// **Schedule stage**: Algorithm 1 on `workflow` for `n_procs`
@@ -332,6 +376,27 @@ mod tests {
         let em = evaluate_stage(&sg, &PathApprox::default()).unwrap();
         let assessed = pipe.assess(Strategy::CkptSome, &PathApprox::default());
         assert_eq!(em.to_bits(), assessed.expected_makespan.to_bits());
+    }
+
+    // The histograms are process-global and only ever grow within this
+    // test binary, so concurrent stage executions can only add to the
+    // deltas asserted here.
+    #[cfg(feature = "observe")]
+    #[test]
+    fn traced_and_charged_feed_their_stage_histogram() {
+        let count = |s: StageId| wall_histograms()[s as usize].count();
+        let (curve, mc) = (count(StageId::Curve), count(StageId::EvalMc));
+        let before = wall_seconds()[StageId::EvalMc as usize];
+        let err = traced(StageId::Curve, || -> PlanResult<()> {
+            Err(PlanError::invalid("x", "y"))
+        });
+        assert!(err.is_err(), "failed executions are charged too");
+        charged(StageId::EvalMc, || {
+            std::thread::sleep(std::time::Duration::from_millis(2))
+        });
+        assert!(count(StageId::Curve) > curve);
+        assert!(count(StageId::EvalMc) > mc);
+        assert!(wall_seconds()[StageId::EvalMc as usize] - before >= 1e-3);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! * **Compiles out.** Without the `enabled` cargo feature every entry
 //!   point here is an `#[inline(always)]` no-op stub, same discipline
 //!   as `seedmix::faultinject`.
-//! * **One clock.** [`timed`] is the single timing primitive; the
-//!   engine's stage walls and per-cell timings are derived from the
-//!   nanosecond value it returns, so profiling and tracing can never
-//!   disagree.
+//! * **One clock.** [`Stopwatch`] is the single timing primitive:
+//!   [`timed`] and the stage wrapper `ckpt_core::stage::traced` both
+//!   read it, and the stage-wall histograms and per-cell timings are
+//!   derived from the nanoseconds it returns, so profiling and tracing
+//!   can never disagree.
 //!
 //! [`SpanRecord`] itself (and the JSONL/canonicalizer helpers in
 //! [`crate::jsonl`]) compile unconditionally: they are pure data and
@@ -300,10 +301,28 @@ mod live {
         }
     }
 
-    /// Run `f` inside a span and return `(result, nanoseconds)`. The
-    /// nanoseconds are measured even when the recorder is unarmed, so
-    /// profiling consumers (stage walls, per-cell timings) always see
-    /// real durations while the feature is compiled in.
+    /// The one span clock: a monotonic stopwatch that runs whether or
+    /// not the recorder is armed, so profiling consumers (stage walls,
+    /// per-cell timings) always see real durations while the feature
+    /// is compiled in.
+    pub struct Stopwatch(Instant);
+
+    impl Stopwatch {
+        /// Starts the clock.
+        #[inline]
+        pub fn start() -> Self {
+            Stopwatch(Instant::now())
+        }
+
+        /// Nanoseconds since [`Stopwatch::start`].
+        #[inline]
+        pub fn elapsed_ns(&self) -> u64 {
+            self.0.elapsed().as_nanos() as u64
+        }
+    }
+
+    /// Run `f` inside a span and return `(result, nanoseconds)`, timed
+    /// by a [`Stopwatch`].
     pub fn timed_full<T>(
         name: &'static str,
         key: Option<u64>,
@@ -312,16 +331,16 @@ mod live {
         f: impl FnOnce() -> T,
     ) -> (T, u64) {
         let mut guard = open(name, key, ord, parent);
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let out = f();
-        let nanos = t0.elapsed().as_nanos() as u64;
+        let nanos = clock.elapsed_ns();
         guard.set_duration_ns(nanos);
         (out, nanos)
     }
 }
 
 #[cfg(feature = "enabled")]
-pub use live::{arm, armed, disarm, drain, open, timed_full, SpanGuard};
+pub use live::{arm, armed, disarm, drain, open, timed_full, SpanGuard, Stopwatch};
 
 #[cfg(not(feature = "enabled"))]
 mod stub {
@@ -372,6 +391,22 @@ mod stub {
     ) -> SpanGuard {
         SpanGuard { _priv: () }
     }
+    /// Disabled build: a clock that never reads the time and always
+    /// reports zero nanoseconds (profiling is part of the compiled-out
+    /// layer).
+    pub struct Stopwatch;
+
+    impl Stopwatch {
+        #[inline(always)]
+        pub fn start() -> Self {
+            Stopwatch
+        }
+        #[inline(always)]
+        pub fn elapsed_ns(&self) -> u64 {
+            0
+        }
+    }
+
     /// Disabled build: runs `f` with zero instrumentation and reports
     /// zero nanoseconds (profiling is part of the compiled-out layer).
     #[inline(always)]
@@ -387,7 +422,7 @@ mod stub {
 }
 
 #[cfg(not(feature = "enabled"))]
-pub use stub::{arm, armed, disarm, drain, open, timed_full, SpanGuard};
+pub use stub::{arm, armed, disarm, drain, open, timed_full, SpanGuard, Stopwatch};
 
 /// Open a span under the current span on this thread.
 #[inline(always)]

@@ -63,7 +63,9 @@ use ckpt_core::stage::{
     curve_stage, evaluate_stage, inject, placement_stage, schedule_stage, segment_graph_stage,
     traced, StageId,
 };
-use ckpt_core::{AllocateConfig, Budget, CostCtx, FailureModel, PlanError, PlanResult, Platform};
+use ckpt_core::{
+    AllocateConfig, Budget, CostCtx, FailureModel, PlanError, PlanResult, Platform, WorkflowFp,
+};
 use failsim::{montecarlo_segments_model, montecarlo_segments_model_abortable, McStats, SimConfig};
 use mspg::TaskId;
 use pegasus::WorkflowClass;
@@ -71,7 +73,7 @@ use probdag::{Dodin, Evaluator, NormalSculli, PathApprox};
 use seedmix::digest::Fnv1a;
 use seedmix::parallel_slots;
 
-use crate::store::{Memo, Resolution, Store, WorkflowArtifact};
+use crate::store::{Memo, Store, WorkflowArtifact};
 use crate::tracker::{Outcome, Tracker};
 use obs::span::SpanOutcome;
 
@@ -119,13 +121,59 @@ impl WorkflowSource {
     }
 }
 
-fn class_tag(c: WorkflowClass) -> u64 {
-    match c {
-        WorkflowClass::Genome => 0,
-        WorkflowClass::Montage => 1,
-        WorkflowClass::Ligo => 2,
-        WorkflowClass::Cybershake => 3,
+/// Store key of the generated instance `(class, size, seed)`,
+/// optionally rescaled to a CCR at a bandwidth (`rescale = Some((ccr,
+/// bandwidth))` — the rescale reads both, so both key in). The one
+/// workflow-class key both front ends use: sessions key their
+/// generated sources with it, and the grid engine keys its unscaled
+/// instances (`rescale = None`).
+pub fn generated_workflow_key(
+    class: WorkflowClass,
+    size: usize,
+    seed: u64,
+    rescale: Option<(f64, f64)>,
+) -> u64 {
+    let mut h = Fnv1a::tagged(tag::GENERATE);
+    h.write_word(class as u64)
+        .write_usize(size)
+        .write_word(seed);
+    match rescale {
+        None => h.write_word(0),
+        Some((ccr, bandwidth)) => h.write_word(1).write_f64(ccr).write_f64(bandwidth),
+    };
+    h.finish()
+}
+
+/// **Generate stage** for a generated source: synthesizes instance
+/// `(class, size, seed)`, rescales it if asked (see
+/// [`generated_workflow_key`]), and fingerprints it.
+pub fn generate_workflow(
+    class: WorkflowClass,
+    size: usize,
+    seed: u64,
+    rescale: Option<(f64, f64)>,
+) -> PlanResult<WorkflowArtifact> {
+    traced(StageId::Generate, || {
+        inject(StageId::Generate)?;
+        let mut workflow = pegasus::generate(class, size, seed);
+        if let Some((ccr, bandwidth)) = rescale {
+            pegasus::ccr::scale_to_ccr(&mut workflow, ccr, bandwidth);
+        }
+        Ok(WorkflowArtifact::new(workflow))
+    })
+}
+
+/// Store key of the schedule of a workflow fingerprinted `fp` on
+/// `procs` processors under `alloc`. Scheduling never reads the failure
+/// model and reads file sizes only through the MinVolume linearizer, so
+/// only then do the sizes key in — a CCR rescale leaves the other
+/// schedules untouched.
+pub fn schedule_key(fp: &WorkflowFp, procs: usize, alloc: &AllocateConfig) -> u64 {
+    let mut parts = vec![fp.structure, procs as u64, allocate_config_fp(alloc)];
+    if linearizer_reads_file_sizes(alloc.linearizer) {
+        parts.push(fp.file_sizes);
     }
+    compose(tag::SCHEDULE, &parts)
 }
 
 /// A calibrated failure-model specification. Unlike a raw
@@ -654,17 +702,7 @@ impl Session {
         let mfp = model_fp(&model);
         let bw_bits = inputs.bandwidth.to_bits();
 
-        // Schedule: never reads the failure model; reads file sizes
-        // only through the MinVolume linearizer.
-        let mut sched_parts = vec![
-            fp.structure,
-            inputs.procs as u64,
-            allocate_config_fp(&inputs.alloc),
-        ];
-        if linearizer_reads_file_sizes(inputs.alloc.linearizer) {
-            sched_parts.push(fp.file_sizes);
-        }
-        let sched_key = compose(tag::SCHEDULE, &sched_parts);
+        let sched_key = schedule_key(&fp, inputs.procs, &inputs.alloc);
         let schedule =
             self.memo_stage(StageId::Schedule, &self.store.schedules, sched_key, || {
                 schedule_stage(w, inputs.procs, &inputs.alloc)
@@ -798,25 +836,10 @@ impl Session {
                 seed,
                 ccr,
             } => {
-                let mut h = Fnv1a::tagged(tag::GENERATE);
-                h.write_word(class_tag(*class))
-                    .write_usize(*size)
-                    .write_word(*seed);
-                match ccr {
-                    None => h.write_word(0),
-                    // CCR rescaling reads the bandwidth, so it keys in.
-                    Some(c) => h.write_word(1).write_f64(*c).write_f64(inputs.bandwidth),
-                };
-                let key = h.finish();
+                let rescale = ccr.map(|c| (c, inputs.bandwidth));
+                let key = generated_workflow_key(*class, *size, *seed, rescale);
                 self.memo_stage(StageId::Generate, &self.store.workflows, key, || {
-                    traced(StageId::Generate, || {
-                        inject(StageId::Generate)?;
-                        let mut workflow = pegasus::generate(*class, *size, *seed);
-                        if let Some(c) = ccr {
-                            pegasus::ccr::scale_to_ccr(&mut workflow, *c, inputs.bandwidth);
-                        }
-                        Ok(WorkflowArtifact::new(workflow))
-                    })
+                    generate_workflow(*class, *size, *seed, rescale)
                 })
             }
         }
@@ -826,11 +849,9 @@ impl Session {
     /// runs iff the store lacks the artifact (possibly more than once —
     /// the memo retries transient failures, see
     /// [`crate::store::MAX_ATTEMPTS`]). Each resolution records exactly
-    /// one event — `Executed`, `Cached`, or `Failed` with its attempt
-    /// count and error kind — and one `"resolve.<stage>"` span carrying
-    /// the fingerprint key, the same outcome, and this caller's attempt
-    /// count. Stage-execution spans (from `ckpt_core::stage::traced`
-    /// inside `f`) nest under the resolution span.
+    /// one tracker event — `Executed`, `Cached`, or `Failed` with its
+    /// attempt count and error kind — and one `"resolve.<stage>"` span
+    /// with the same outcome (see [`Memo::resolve`]).
     fn memo_stage<V: Send + Sync>(
         &self,
         stage: StageId,
@@ -838,26 +859,8 @@ impl Session {
         key: u64,
         f: impl Fn() -> PlanResult<V>,
     ) -> PlanResult<Arc<V>> {
-        let mut span = obs::span::enter_key(stage.resolve_site(), key);
-        let mut how = Resolution::default();
-        let res = memo.get_or_try_compute_with(key, stage, f, &mut how);
-        let outcome = match &res {
-            // `e.attempts()` is the memo layer's total across takeovers
-            // (what the error surfaced), not just this caller's runs.
-            Err(e) => Outcome::Failed {
-                attempts: e.attempts(),
-                kind: e.kind(),
-            },
-            Ok(_) if how.computed => Outcome::Executed,
-            Ok(_) => Outcome::Cached,
-        };
+        let (res, outcome) = memo.resolve(stage, key, f);
         self.tracker.record(stage, outcome);
-        span.set_attempts(how.attempts);
-        span.set_outcome(match outcome {
-            Outcome::Executed => SpanOutcome::Executed,
-            Outcome::Cached => SpanOutcome::Cached,
-            Outcome::Failed { .. } => SpanOutcome::Failed,
-        });
         res
     }
 }

@@ -56,6 +56,9 @@ use std::time::Duration;
 
 use ckpt_core::budget::Cancelled;
 use ckpt_core::{PlanError, PlanResult, StageId};
+use obs::span::SpanOutcome;
+
+use crate::tracker::Outcome;
 
 /// Total compute failures (panics or injected stage errors) tolerated
 /// per slot before it turns terminally [`SlotState::Failed`]. Three
@@ -447,7 +450,7 @@ impl<V> Memo<V> {
     }
 
     /// Infallible-closure convenience over [`Memo::get_or_try_compute`]
-    /// (the offline callers: bench caches, statistics memos).
+    /// (the session's answer-assembly memos).
     ///
     /// # Panics
     /// Re-raises a terminal failure as a panic — for a closure that
@@ -456,6 +459,42 @@ impl<V> Memo<V> {
     pub fn get_or_compute(&self, key: u64, f: impl Fn() -> V) -> Arc<V> {
         self.get_or_try_compute(key, StageId::Generate, || Ok(f()))
             .unwrap_or_else(|e| panic!("memo compute failed: {e}"))
+    }
+
+    /// [`Memo::get_or_try_compute_with`] under one `"resolve.<stage>"`
+    /// span carrying the key, the outcome, and this caller's attempt
+    /// count; returns the artifact with its [`Outcome`]. The one
+    /// resolution funnel of both front ends: `Session` records the
+    /// outcome in its tracker, and the grid engine resolves instances
+    /// and schedules through it. Stage-execution spans (from
+    /// `ckpt_core::stage::traced` inside `f`) nest under the resolution
+    /// span.
+    pub fn resolve(
+        &self,
+        stage: StageId,
+        key: u64,
+        f: impl Fn() -> PlanResult<V>,
+    ) -> (PlanResult<Arc<V>>, Outcome) {
+        let mut span = obs::span::enter_key(stage.resolve_site(), key);
+        let mut how = Resolution::default();
+        let res = self.get_or_try_compute_with(key, stage, f, &mut how);
+        let outcome = match &res {
+            // `e.attempts()` is the memo layer's total across takeovers
+            // (what the error surfaced), not just this caller's runs.
+            Err(e) => Outcome::Failed {
+                attempts: e.attempts(),
+                kind: e.kind(),
+            },
+            Ok(_) if how.computed => Outcome::Executed,
+            Ok(_) => Outcome::Cached,
+        };
+        span.set_attempts(how.attempts);
+        span.set_outcome(match outcome {
+            Outcome::Executed => SpanOutcome::Executed,
+            Outcome::Cached => SpanOutcome::Cached,
+            Outcome::Failed { .. } => SpanOutcome::Failed,
+        });
+        (res, outcome)
     }
 
     /// Current entry count.
