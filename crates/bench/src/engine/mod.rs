@@ -62,9 +62,7 @@ use std::time::Instant;
 
 use ckpt_core::stage::{charged, schedule_stage, StageId};
 use ckpt_core::{lambda_from_pfail, AllocateConfig, FailureModel, Pipeline, Platform, Schedule};
-use ckpt_service::{
-    generate_workflow, generated_workflow_key, schedule_key, PlanResult, Store, WorkflowArtifact,
-};
+use ckpt_service::{schedule_key, Store, WorkflowArtifact};
 use mspg::linearize::Linearizer;
 use mspg::Workflow;
 use pegasus::ccr::scale_to_ccr;
@@ -128,12 +126,9 @@ pub struct CellCtx<'e> {
     pub plan_threads: usize,
 }
 
-/// Unwraps a store resolution. Grid inputs are valid by construction
-/// and grids never arm fault injection, so a failure here is a bug.
-fn resolved<V>(res: (PlanResult<Arc<V>>, ckpt_service::Outcome)) -> Arc<V> {
-    res.0
-        .unwrap_or_else(|e| panic!("engine store resolution failed: {e}"))
-}
+/// Why a store resolution in a grid cannot fail: grid inputs are valid
+/// by construction and grids never arm fault injection.
+const VALID_GRID: &str = "grid inputs are valid and fault injection is off";
 
 impl CellCtx<'_> {
     /// Seed of instance `i` of this cell's `(class, size)` lane.
@@ -145,10 +140,8 @@ impl CellCtx<'_> {
     /// generated on first use.
     pub fn instance(&self, cell: &Cell, i: usize) -> Arc<WorkflowArtifact> {
         let seed = self.instance_seed(cell, i);
-        let key = generated_workflow_key(cell.class, cell.size, seed, None);
-        resolved(self.store.workflows.resolve(StageId::Generate, key, || {
-            generate_workflow(cell.class, cell.size, seed, None)
-        }))
+        let (wa, _) = self.store.generated(cell.class, cell.size, seed, None);
+        wa.expect(VALID_GRID)
     }
 
     /// A clone of instance `i` rescaled to the cell's CCR at the
@@ -177,13 +170,14 @@ impl CellCtx<'_> {
             seed: self.instance_seed(cell, i),
         };
         let key = schedule_key(&wa.fp, cell.procs, &alloc);
-        resolved(self.store.schedules.resolve(StageId::Schedule, key, || {
+        let (schedule, _) = self.store.schedules.resolve(StageId::Schedule, key, || {
             schedule_stage(&wa.workflow, cell.procs, &alloc)
-        }))
+        });
+        schedule.expect(VALID_GRID)
     }
 
     /// The evaluation pipeline of the rescaled instance `w` (a clone
-    /// obtained from [`CellCtx::scaled_instance`]) under the cached
+    /// obtained from [`CellCtx::scaled_instance`]) under the stored
     /// schedule and the cell's platform.
     pub fn pipeline<'w>(
         &self,

@@ -9,12 +9,9 @@
 
 use ckpt_core::policy::CheckpointPolicy;
 use ckpt_core::stage::{charged, StageId};
-use ckpt_core::{allocate, AllocateConfig, FailureModel, Schedule, Strategy};
+use ckpt_core::{allocate, AllocateConfig, FailureModel, Pipeline, Schedule, Strategy};
 use ckpt_service::PolicySpec;
-use failsim::{
-    montecarlo_none, montecarlo_none_model, montecarlo_segments, montecarlo_segments_model,
-    SimConfig,
-};
+use failsim::{montecarlo_none_model, montecarlo_segments_model, McStats, SimConfig};
 use mspg::linearize::Linearizer;
 use mspg::Workflow;
 use pegasus::ccr::scale_to_ccr;
@@ -293,55 +290,33 @@ impl Scenario for ValidateScenario {
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<ValidateRow> {
         let w = ctx.scaled_instance(cell, 0);
         let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
-        let lambda = pipe.platform.lambda();
         let cfg = SimConfig {
             runs: self.runs,
             seed: ctx.instance_seed(cell, 0),
             threads: ctx.mc_threads,
             ..Default::default()
         };
-        let evaluator = PathApprox::default();
-        let mut rows = Vec::with_capacity(3);
-        for strategy in [Strategy::CkptAll, Strategy::CkptSome] {
-            // One segment graph serves both the analytic estimate and the
-            // simulation (assess = segment_graph + evaluator, so this is
-            // bit-identical to assessing separately at half the planning
-            // cost).
-            let sg = pipe.segment_graph(strategy);
-            let model = charged(StageId::EvalAnalytic, || {
-                evaluator.expected_makespan(&sg.pdag)
-            });
-            let sim = charged(StageId::EvalMc, || montecarlo_segments(&sg, lambda, &cfg));
-            rows.push(ValidateRow {
-                class: cell.class,
-                size: cell.size,
-                pfail: cell.pfail,
-                strategy: strategy.name(),
-                model: "Eq2+PathApprox",
-                model_em: model,
-                sim_em: sim.mean_makespan,
-                sim_stderr: sim.stderr,
-                rel_err_pct: 100.0 * (model - sim.mean_makespan).abs() / sim.mean_makespan,
-                diverged: 0,
-            });
-        }
-        let model = theorem1_em(&pipe);
-        let sim = charged(StageId::EvalMc, || {
-            montecarlo_none(&w.dag, &pipe.schedule, lambda, &cfg)
-        });
-        rows.push(ValidateRow {
-            class: cell.class,
-            size: cell.size,
-            pfail: cell.pfail,
-            strategy: Strategy::CkptNone.name(),
-            model: "Theorem1",
-            model_em: model,
-            sim_em: sim.stats.mean_makespan,
-            sim_stderr: sim.stats.stderr,
-            rel_err_pct: 100.0 * (model - sim.stats.mean_makespan).abs() / sim.stats.mean_makespan,
-            diverged: sim.diverged,
-        });
-        rows
+        [Strategy::CkptAll, Strategy::CkptSome, Strategy::CkptNone]
+            .into_iter()
+            .map(|strategy| {
+                let (model_em, sim, diverged) = model_vs_sim(&pipe, strategy, &cfg);
+                ValidateRow {
+                    class: cell.class,
+                    size: cell.size,
+                    pfail: cell.pfail,
+                    strategy: strategy.name(),
+                    model: match strategy {
+                        Strategy::CkptNone => "Theorem1",
+                        _ => "Eq2+PathApprox",
+                    },
+                    model_em,
+                    sim_em: sim.mean_makespan,
+                    sim_stderr: sim.stderr,
+                    rel_err_pct: 100.0 * (model_em - sim.mean_makespan).abs() / sim.mean_makespan,
+                    diverged,
+                }
+            })
+            .collect()
     }
 
     fn header(&self) -> String {
@@ -363,6 +338,29 @@ impl Scenario for ValidateScenario {
             r.diverged
         )
     }
+}
+
+/// One strategy's first-order estimate against its simulation on
+/// `pipe`, under the pipeline's failure model: `(model_em, sim,
+/// diverged runs)`. A checkpointed strategy's one segment graph serves
+/// both columns (PathApprox and the segment simulator); CkptNone pairs
+/// Theorem 1 with the crossover-cascade simulator.
+fn model_vs_sim(pipe: &Pipeline<'_>, strategy: Strategy, cfg: &SimConfig) -> (f64, McStats, usize) {
+    let model = pipe.platform.model;
+    if strategy == Strategy::CkptNone {
+        let sim = charged(StageId::EvalMc, || {
+            montecarlo_none_model(&pipe.workflow.dag, &pipe.schedule, &model, cfg)
+        });
+        return (theorem1_em(pipe), sim.stats, sim.diverged);
+    }
+    let sg = pipe.segment_graph(strategy);
+    let em = charged(StageId::EvalAnalytic, || {
+        PathApprox::default().expected_makespan(&sg.pdag)
+    });
+    let sim = charged(StageId::EvalMc, || {
+        montecarlo_segments_model(&sg, &model, cfg)
+    });
+    (em, sim, 0)
 }
 
 /// One row of the E6 linearization ablation.
@@ -896,10 +894,17 @@ impl Scenario for DistributionsScenario {
             max_failures: 10_000,
             ..Default::default()
         };
-        let evaluator = PathApprox::default();
-        let mut rows = Vec::with_capacity(4);
-        let mut row = |strategy: Strategy, model_em: f64, sim_em: f64, stderr: f64, div: usize| {
-            rows.push(DistributionRow {
+        [
+            Strategy::CkptAll,
+            Strategy::CkptSome,
+            Strategy::ExitOnly,
+            Strategy::CkptNone,
+        ]
+        .into_iter()
+        .map(|strategy| {
+            let (model_em, sim, diverged) = model_vs_sim(&pipe, strategy, &cfg);
+            let sim_em = sim.mean_makespan;
+            DistributionRow {
                 class: cell.class,
                 size: cell.size,
                 procs: cell.procs,
@@ -910,7 +915,7 @@ impl Scenario for DistributionsScenario {
                 strategy: strategy.name(),
                 model_em,
                 sim_em,
-                sim_stderr: stderr,
+                sim_stderr: sim.stderr,
                 // A fully censored simulation (every CkptNone run
                 // diverged, sim_em = ∞) has unbounded model error; keep
                 // the column an explicit `inf`, not `inf/inf = NaN`.
@@ -919,33 +924,10 @@ impl Scenario for DistributionsScenario {
                 } else {
                     f64::INFINITY
                 },
-                diverged: div,
-            });
-        };
-        for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::ExitOnly] {
-            // One segment graph per strategy for both columns (see
-            // ValidateScenario::run_cell).
-            let sg = pipe.segment_graph(strategy);
-            let model_em = charged(StageId::EvalAnalytic, || {
-                evaluator.expected_makespan(&sg.pdag)
-            });
-            let sim = charged(StageId::EvalMc, || {
-                montecarlo_segments_model(&sg, &model, &cfg)
-            });
-            row(strategy, model_em, sim.mean_makespan, sim.stderr, 0);
-        }
-        let model_em = theorem1_em(&pipe);
-        let sim = charged(StageId::EvalMc, || {
-            montecarlo_none_model(&w.dag, &pipe.schedule, &model, &cfg)
-        });
-        row(
-            Strategy::CkptNone,
-            model_em,
-            sim.stats.mean_makespan,
-            sim.stats.stderr,
-            sim.diverged,
-        );
-        rows
+                diverged,
+            }
+        })
+        .collect()
     }
 
     fn header(&self) -> String {

@@ -50,8 +50,8 @@ pub mod tracker;
 
 pub use ckpt_core::{Budget, ErrorKind, PlanError, PlanResult};
 pub use session::{
-    generate_workflow, generated_workflow_key, schedule_key, Answer, EvalSpec, Inputs, McSpec,
-    ModelSpec, PolicySpec, Session, WhatIf, WorkflowSource,
+    schedule_key, Answer, EvalSpec, Inputs, McSpec, ModelSpec, PolicySpec, Session, WhatIf,
+    WorkflowSource,
 };
 pub use store::{Memo, MemoStats, Resolution, Store, StoreStats, WorkflowArtifact, MAX_ATTEMPTS};
 pub use tracker::{Event, Outcome, Tracker};

@@ -79,7 +79,7 @@ use obs::span::SpanOutcome;
 
 /// Domain tags for session-level stage keys (disjoint from the
 /// `ckpt_core::fingerprint::tag` artifact tags).
-mod tag {
+pub(crate) mod tag {
     pub const GENERATE: u64 = 0x5356_4745; // "SVGE"
     pub const SCHEDULE: u64 = 0x5356_5343; // "SVSC"
     pub const CURVE: u64 = 0x5356_4356; // "SVCV"
@@ -119,48 +119,6 @@ impl WorkflowSource {
     pub fn provided(workflow: mspg::Workflow) -> Self {
         WorkflowSource::Provided(Arc::new(WorkflowArtifact::new(workflow)))
     }
-}
-
-/// Store key of the generated instance `(class, size, seed)`,
-/// optionally rescaled to a CCR at a bandwidth (`rescale = Some((ccr,
-/// bandwidth))` — the rescale reads both, so both key in). The one
-/// workflow-class key both front ends use: sessions key their
-/// generated sources with it, and the grid engine keys its unscaled
-/// instances (`rescale = None`).
-pub fn generated_workflow_key(
-    class: WorkflowClass,
-    size: usize,
-    seed: u64,
-    rescale: Option<(f64, f64)>,
-) -> u64 {
-    let mut h = Fnv1a::tagged(tag::GENERATE);
-    h.write_word(class as u64)
-        .write_usize(size)
-        .write_word(seed);
-    match rescale {
-        None => h.write_word(0),
-        Some((ccr, bandwidth)) => h.write_word(1).write_f64(ccr).write_f64(bandwidth),
-    };
-    h.finish()
-}
-
-/// **Generate stage** for a generated source: synthesizes instance
-/// `(class, size, seed)`, rescales it if asked (see
-/// [`generated_workflow_key`]), and fingerprints it.
-pub fn generate_workflow(
-    class: WorkflowClass,
-    size: usize,
-    seed: u64,
-    rescale: Option<(f64, f64)>,
-) -> PlanResult<WorkflowArtifact> {
-    traced(StageId::Generate, || {
-        inject(StageId::Generate)?;
-        let mut workflow = pegasus::generate(class, size, seed);
-        if let Some((ccr, bandwidth)) = rescale {
-            pegasus::ccr::scale_to_ccr(&mut workflow, ccr, bandwidth);
-        }
-        Ok(WorkflowArtifact::new(workflow))
-    })
 }
 
 /// Store key of the schedule of a workflow fingerprinted `fp` on
@@ -837,10 +795,9 @@ impl Session {
                 ccr,
             } => {
                 let rescale = ccr.map(|c| (c, inputs.bandwidth));
-                let key = generated_workflow_key(*class, *size, *seed, rescale);
-                self.memo_stage(StageId::Generate, &self.store.workflows, key, || {
-                    generate_workflow(*class, *size, *seed, rescale)
-                })
+                let (res, outcome) = self.store.generated(*class, *size, *seed, rescale);
+                self.tracker.record(StageId::Generate, outcome);
+                res
             }
         }
     }

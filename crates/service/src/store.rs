@@ -55,9 +55,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ckpt_core::budget::Cancelled;
+use ckpt_core::stage::{inject, traced};
 use ckpt_core::{PlanError, PlanResult, StageId};
 use obs::span::SpanOutcome;
+use pegasus::WorkflowClass;
+use seedmix::digest::Fnv1a;
 
+use crate::session::tag;
 use crate::tracker::Outcome;
 
 /// Total compute failures (panics or injected stage errors) tolerated
@@ -627,6 +631,39 @@ impl Store {
             wpars: Memo::bounded(capacity),
             stats: Memo::bounded(capacity),
         }
+    }
+
+    /// Resolves the Generate stage of instance `(class, size, seed)`
+    /// through [`Store::workflows`], rescaled to a CCR at a bandwidth
+    /// when `rescale = Some((ccr, bandwidth))` (the rescale reads both,
+    /// so both key in). The one workflow key of both front ends:
+    /// sessions resolve their generated sources here, and the grid
+    /// engine its unscaled instances (`rescale = None`).
+    pub fn generated(
+        &self,
+        class: WorkflowClass,
+        size: usize,
+        seed: u64,
+        rescale: Option<(f64, f64)>,
+    ) -> (PlanResult<Arc<WorkflowArtifact>>, Outcome) {
+        let mut h = Fnv1a::tagged(tag::GENERATE);
+        h.write_word(class as u64)
+            .write_usize(size)
+            .write_word(seed);
+        match rescale {
+            None => h.write_word(0),
+            Some((ccr, bandwidth)) => h.write_word(1).write_f64(ccr).write_f64(bandwidth),
+        };
+        self.workflows.resolve(StageId::Generate, h.finish(), || {
+            traced(StageId::Generate, || {
+                inject(StageId::Generate)?;
+                let mut workflow = pegasus::generate(class, size, seed);
+                if let Some((ccr, bandwidth)) = rescale {
+                    pegasus::ccr::scale_to_ccr(&mut workflow, ccr, bandwidth);
+                }
+                Ok(WorkflowArtifact::new(workflow))
+            })
+        })
     }
 
     /// Snapshot of every memo's counters plus the totals row.
