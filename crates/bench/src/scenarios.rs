@@ -567,13 +567,13 @@ pub struct LigoFootnoteRow {
 /// the dummy-patched workflow (extra synchronizations, no data), while
 /// CkptAll's costs are unaffected by the zero-size dummies.
 ///
-/// The two 300-task instances (and their CCR-invariant schedules) are
-/// built once at construction; each cell only rescales clones.
+/// The mainline instance is the Ligo-300 lane's engine instance, so it
+/// and its schedule come from the run's store. The dummy-patched
+/// variant (and its CCR-invariant schedule) is built once at
+/// construction; each cell only rescales a clone.
 pub struct LigoFootnoteScenario {
     ccr_points: usize,
     base_seed: u64,
-    mainline: Workflow,
-    mainline_schedule: Schedule,
     patched: Workflow,
     patched_schedule: Schedule,
 }
@@ -584,11 +584,11 @@ pub const LIGO_FOOTNOTE_HEADER: &str = "ccr,pfail,rel_all_mainline,rel_all_patch
 const LIGO_FOOTNOTE_PROCS: usize = 18;
 
 impl LigoFootnoteScenario {
-    /// Builds both Ligo-300 variants and their schedules.
+    /// Builds the dummy-patched variant of the lane's Ligo-300 instance
+    /// and its schedule.
     pub fn new(ccr_points: usize, base_seed: u64) -> Self {
         let seed = seedmix::derive(base_seed, &[WorkflowClass::Ligo as u64, 300]);
         let wf_seed = seedmix::stream_seed(seed, 0);
-        let mainline = pegasus::ligo::generate(300, wf_seed);
         let mut inc = pegasus::ligo::generate_incomplete(300, wf_seed);
         let shape = pegasus::ligo::ligo_shape(300);
         for g in 0..shape.groups {
@@ -605,32 +605,21 @@ impl LigoFootnoteScenario {
             linearizer: Linearizer::RandomTopo,
             seed: wf_seed,
         };
-        let mainline_schedule = allocate(&mainline, LIGO_FOOTNOTE_PROCS, &cfg);
         let patched_schedule = allocate(&patched, LIGO_FOOTNOTE_PROCS, &cfg);
         LigoFootnoteScenario {
             ccr_points,
             base_seed,
-            mainline,
-            mainline_schedule,
             patched,
             patched_schedule,
         }
     }
+}
 
-    fn rel_all(&self, w: &Workflow, schedule: &Schedule, cell: &Cell, ctx: &CellCtx<'_>) -> f64 {
-        let w = charged(StageId::Generate, || {
-            let mut w = w.clone();
-            scale_to_ccr(&mut w, cell.ccr, BANDWIDTH);
-            w
-        });
-        let lambda = ckpt_core::lambda_from_pfail(cell.pfail, w.dag.mean_weight());
-        let platform = ckpt_core::Platform::new(cell.procs, lambda, BANDWIDTH);
-        let pipe = ckpt_core::Pipeline::with_schedule(&w, platform, schedule.clone())
-            .with_plan_threads(ctx.plan_threads);
-        let evaluator = PathApprox::default();
-        let em = |strategy: Strategy| pipe.assess(strategy, &evaluator).expected_makespan;
-        em(Strategy::CkptAll) / em(Strategy::CkptSome)
-    }
+/// CkptAll / CkptSome expected makespan on `pipe`.
+fn rel_all(pipe: &Pipeline<'_>) -> f64 {
+    let evaluator = PathApprox::default();
+    let em = |strategy: Strategy| pipe.assess(strategy, &evaluator).expected_makespan;
+    em(Strategy::CkptAll) / em(Strategy::CkptSome)
 }
 
 impl Scenario for LigoFootnoteScenario {
@@ -657,8 +646,18 @@ impl Scenario for LigoFootnoteScenario {
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<LigoFootnoteRow> {
-        let rel_all_mainline = self.rel_all(&self.mainline, &self.mainline_schedule, cell, ctx);
-        let rel_all_patched = self.rel_all(&self.patched, &self.patched_schedule, cell, ctx);
+        let mainline = ctx.scaled_instance(cell, 0);
+        let rel_all_mainline = rel_all(&ctx.pipeline(cell, 0, &mainline, Linearizer::RandomTopo));
+        let patched = charged(StageId::Generate, || {
+            let mut w = self.patched.clone();
+            scale_to_ccr(&mut w, cell.ccr, BANDWIDTH);
+            w
+        });
+        let lambda = ckpt_core::lambda_from_pfail(cell.pfail, patched.dag.mean_weight());
+        let platform = ckpt_core::Platform::new(cell.procs, lambda, BANDWIDTH);
+        let pipe = Pipeline::with_schedule(&patched, platform, self.patched_schedule.clone())
+            .with_plan_threads(ctx.plan_threads);
+        let rel_all_patched = rel_all(&pipe);
         vec![LigoFootnoteRow {
             ccr: cell.ccr,
             pfail: cell.pfail,
