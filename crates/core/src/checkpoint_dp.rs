@@ -209,8 +209,8 @@ impl SegmentCost {
 /// (`TaskId`/`FileId` index), with O(1) clearing between uses — the
 /// reusable-bitset replacement for the `Vec::contains` scans that made
 /// [`segment_cost`] quadratic in segment width. Shared crate-wide by the
-/// segment-cost sweeps, the policy subsystem's membership tests, and the
-/// placement-stats accounting.
+/// segment-cost sweeps, the policy subsystem's membership tests, the
+/// placement-stats accounting, and coalescing's data-edge dedup.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct IdSet {
     stamp: Vec<u32>,

@@ -12,6 +12,7 @@ use mspg::{Dag, TaskId};
 use probdag::{NodeDist, NodeId, ProbDag};
 
 use crate::checkpoint_dp::{segment_cost_reusing, CostCtx, IdSet, SegmentCost, SegmentCostScratch};
+use crate::error::{PlanError, PlanResult};
 use crate::schedule::Schedule;
 
 /// Per-task checkpoint decisions (indexed by task id): `ckpt_after[t]`
@@ -112,21 +113,34 @@ impl SegmentGraph {
     }
 }
 
-/// Builds the segment graph for a schedule and checkpoint plan.
+/// Builds the segment graph for a schedule and checkpoint plan, in
+/// time linear in the task-DAG edge count.
 ///
-/// Every superchain must end in a checkpoint (the paper's
-/// crossover-dependency removal); this is asserted.
-pub fn coalesce(ctx: &CostCtx<'_>, sched: &Schedule, plan: &CheckpointPlan) -> SegmentGraph {
+/// Fails with [`PlanError::InvalidInput`] when a superchain is empty or
+/// does not end in a checkpoint (the paper's crossover-dependency
+/// removal needs one at every superchain exit).
+pub fn coalesce(
+    ctx: &CostCtx<'_>,
+    sched: &Schedule,
+    plan: &CheckpointPlan,
+) -> PlanResult<SegmentGraph> {
     let dag = ctx.dag;
     let mut segments: Vec<Segment> = Vec::new();
     let mut task_segment = vec![u32::MAX; dag.n_tasks()];
     let mut scratch = SegmentCostScratch::new();
     for (sc_idx, sc) in sched.superchains.iter().enumerate() {
-        let last = *sc.tasks.last().expect("non-empty superchain");
-        assert!(
-            plan.ckpt_after[last.index()],
-            "superchain {sc_idx} does not end in a checkpoint"
-        );
+        let Some(&last) = sc.tasks.last() else {
+            return Err(PlanError::invalid(
+                "schedule",
+                format!("superchain {sc_idx} is empty"),
+            ));
+        };
+        if !plan.ckpt_after[last.index()] {
+            return Err(PlanError::invalid(
+                "plan",
+                format!("superchain {sc_idx} does not end in a checkpoint"),
+            ));
+        }
         let mut lo = 0usize;
         for (k, &t) in sc.tasks.iter().enumerate() {
             if plan.ckpt_after[t.index()] {
@@ -178,22 +192,33 @@ pub fn coalesce(ctx: &CostCtx<'_>, sched: &Schedule, plan: &CheckpointPlan) -> S
         }
     }
     // Data edges: a segment reading file f depends on the segment that
-    // checkpointed f (the producer's segment).
+    // checkpointed f (the producer's segment). When segment `s` is
+    // visited, its only in-edge is the serialization one, so a stamp set
+    // seeded with `s` and `preds(s)` answers "is `us → s` already there"
+    // exactly as a scan of `succs(us)` would, and the new edges land in
+    // the same first-occurrence order.
+    let mut seen = IdSet::default();
     for (s_idx, seg) in segments.iter().enumerate() {
+        let s = NodeId(s_idx as u32);
+        seen.reset(segments.len());
+        seen.insert(s_idx);
+        for &q in pdag.preds(s) {
+            seen.insert(q.index());
+        }
         for &t in &seg.tasks {
             for &(u, _) in dag.preds(t) {
                 let us = task_segment[u.index()];
-                if us != s_idx as u32 {
-                    pdag.add_edge(NodeId(us), NodeId(s_idx as u32));
+                if seen.insert(us as usize) {
+                    pdag.add_new_edge(NodeId(us), s);
                 }
             }
         }
     }
-    SegmentGraph {
+    Ok(SegmentGraph {
         pdag,
         segments,
         task_segment,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -201,6 +226,7 @@ mod tests {
     use super::*;
     use crate::allocate::{allocate, AllocateConfig};
     use crate::checkpoint_dp::optimal_checkpoints;
+    use crate::error::ErrorKind;
     use pegasus::{generate, WorkflowClass};
 
     fn plan_all(dag: &mspg::Dag) -> CheckpointPlan {
@@ -225,7 +251,7 @@ mod tests {
         let w = generate(WorkflowClass::Genome, 50, 1);
         let sched = allocate(&w, 3, &AllocateConfig::default());
         let ctx = CostCtx::exponential(&w.dag, 1e-5, 1e7);
-        let sg = coalesce(&ctx, &sched, &plan_all(&w.dag));
+        let sg = coalesce(&ctx, &sched, &plan_all(&w.dag)).unwrap();
         assert_eq!(sg.segments.len(), w.n_tasks());
         assert_eq!(sg.pdag.n_nodes(), w.n_tasks());
     }
@@ -235,7 +261,7 @@ mod tests {
         let w = generate(WorkflowClass::Montage, 300, 2);
         let sched = allocate(&w, 18, &AllocateConfig::default());
         let ctx = CostCtx::exponential(&w.dag, 1e-6, 1e7);
-        let sg = coalesce(&ctx, &sched, &plan_some(&ctx, &sched));
+        let sg = coalesce(&ctx, &sched, &plan_some(&ctx, &sched)).unwrap();
         // Topological sort must succeed (panics on cycle).
         let order = sg.pdag.topo_order();
         assert_eq!(order.len(), sg.segments.len());
@@ -263,7 +289,7 @@ mod tests {
         let w = pegasus::generic::chain(4, 1);
         let sched = allocate(&w, 1, &AllocateConfig::default());
         let ctx = CostCtx::exponential(&w.dag, 1e-3, 1e7);
-        let sg = coalesce(&ctx, &sched, &plan_all(&w.dag));
+        let sg = coalesce(&ctx, &sched, &plan_all(&w.dag)).unwrap();
         for (seg, v) in sg.segments.iter().zip(sg.pdag.node_ids()) {
             let base = seg.cost.base();
             match *sg.pdag.dist(v) {
@@ -278,15 +304,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not end in a checkpoint")]
-    fn missing_final_checkpoint_panics() {
+    fn missing_final_checkpoint_is_invalid_input() {
         let w = pegasus::generic::chain(3, 1);
         let sched = allocate(&w, 1, &AllocateConfig::default());
         let ctx = CostCtx::exponential(&w.dag, 1e-3, 1e7);
         let plan = CheckpointPlan {
             ckpt_after: vec![false; w.dag.n_tasks()],
         };
-        coalesce(&ctx, &sched, &plan);
+        let err = coalesce(&ctx, &sched, &plan).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("does not end in a checkpoint"));
+    }
+
+    #[test]
+    fn empty_superchain_is_invalid_input() {
+        let w = pegasus::generic::chain(3, 1);
+        let mut sched = allocate(&w, 1, &AllocateConfig::default());
+        sched.superchains[0].tasks.clear();
+        let ctx = CostCtx::exponential(&w.dag, 1e-3, 1e7);
+        let err = coalesce(&ctx, &sched, &plan_all(&w.dag)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("is empty"));
     }
 
     #[test]
@@ -296,7 +334,7 @@ mod tests {
         let bw = 1e7;
         let ctx = CostCtx::exponential(&w.dag, 1e-5, bw);
         for plan in [plan_all(&w.dag), plan_some(&ctx, &sched)] {
-            let sg = coalesce(&ctx, &sched, &plan);
+            let sg = coalesce(&ctx, &sched, &plan).unwrap();
             let stats = sg.placement_stats(&w.dag);
             assert_eq!(stats.segments, sg.segments.len());
             // The byte census prices exactly what the segment costs
@@ -317,7 +355,7 @@ mod tests {
         let w = pegasus::generic::chain(5, 2);
         let sched = allocate(&w, 1, &AllocateConfig::default());
         let ctx = CostCtx::exponential(&w.dag, 0.0, 1e7);
-        let sg = coalesce(&ctx, &sched, &plan_all(&w.dag));
+        let sg = coalesce(&ctx, &sched, &plan_all(&w.dag)).unwrap();
         // 5 segments in a row: 4 serialization/data edges.
         assert_eq!(sg.pdag.n_edges(), 4);
     }

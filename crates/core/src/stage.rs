@@ -294,6 +294,9 @@ pub fn placement_stage(
 /// model+curve, bandwidth, schedule, plan) — note the model dependence:
 /// the 2-state failure probabilities are per-segment functions of the
 /// failure distribution, so model drift re-runs this stage too.
+///
+/// Fails with [`PlanError::InvalidInput`] when a superchain of
+/// `schedule` is empty or `plan` leaves it without a final checkpoint.
 pub fn segment_graph_stage(
     ctx: &CostCtx<'_>,
     schedule: &Schedule,
@@ -301,7 +304,7 @@ pub fn segment_graph_stage(
 ) -> PlanResult<SegmentGraph> {
     traced(StageId::SegmentGraph, || {
         inject(StageId::SegmentGraph)?;
-        Ok(coalesce(ctx, schedule, plan))
+        coalesce(ctx, schedule, plan)
     })
 }
 

@@ -255,7 +255,7 @@ fn legacy_strategies_are_bitwise_identical_to_pre_refactor_graphs() {
                     "{class} seed {seed}: {strategy} plan"
                 );
                 let via_policy = pipe.segment_graph(strategy);
-                let pre_refactor = coalesce(&ctx, &pipe.schedule, reference);
+                let pre_refactor = coalesce(&ctx, &pipe.schedule, reference).unwrap();
                 assert_segment_graphs_bitwise_eq(
                     &via_policy,
                     &pre_refactor,

@@ -1,11 +1,15 @@
 //! Property-based tests for the scheduling and checkpointing algorithms.
 
+use std::collections::BTreeSet;
+
 use ckpt_core::{
-    allocate, optimal_checkpoints, segment_cost, AllocateConfig, CostCtx, FailureModel, Pipeline,
-    Platform, RestartCurve, Strategy,
+    allocate, coalesce, optimal_checkpoints, segment_cost, AllocateConfig, CheckpointPlan, CostCtx,
+    FailureModel, Pipeline, Platform, RestartCurve, Strategy,
 };
 use mspg::gen::{random_workflow, GenConfig};
 use mspg::linearize::Linearizer;
+use mspg::TaskId;
+use pegasus::WorkflowClass;
 use probdag::{Evaluator, PathApprox};
 use proptest::prelude::*;
 
@@ -250,7 +254,7 @@ proptest! {
         let direct_ctx = CostCtx::with_model(&w.dag, model, 1e7);
         let plan = pipe.plan(Strategy::CkptSome);
         let sg_curve = pipe.segment_graph(Strategy::CkptSome);
-        let sg_direct = ckpt_core::coalesce(&direct_ctx, &pipe.schedule, &plan);
+        let sg_direct = coalesce(&direct_ctx, &pipe.schedule, &plan).unwrap();
         prop_assert_eq!(sg_curve.segments.len(), sg_direct.segments.len());
         let ev = PathApprox::default();
         let em_curve = ev.expected_makespan(&sg_curve.pdag);
@@ -259,5 +263,75 @@ proptest! {
             (em_curve - em_direct).abs() <= 1e-3 * em_direct,
             "curve {em_curve} vs direct {em_direct}"
         );
+    }
+
+    /// Coalescing builds exactly the §II-C edge set, once per edge: no
+    /// successor list holds a duplicate, `preds` mirrors `succs`, and
+    /// the edges are the cross-segment data edges plus the
+    /// same-processor serialization pairs. Runs over random M-SPGs and
+    /// the high-fan-out Pegasus classes, under seeded random plans.
+    #[test]
+    fn segment_graph_edges_are_exact(
+        n in 2usize..160, p in 1usize..12, seed: u64, class in 0usize..5,
+    ) {
+        let w = match class {
+            0 => wf(n, seed),
+            c => pegasus::generate(
+                [WorkflowClass::Genome, WorkflowClass::Montage, WorkflowClass::Ligo,
+                 WorkflowClass::Cybershake][c - 1],
+                n.max(20),
+                seed,
+            ),
+        };
+        let dag = &w.dag;
+        let cfg = AllocateConfig { linearizer: Linearizer::RandomTopo, seed };
+        let sched = allocate(&w, p, &cfg);
+        // A seeded random plan with the mandatory superchain-exit
+        // checkpoints.
+        let mut ckpt_after: Vec<bool> = (0..dag.n_tasks() as u64)
+            .map(|t| seedmix::splitmix64(seed ^ t.wrapping_mul(0x9e37_79b9_7f4a_7c15)) & 1 == 1)
+            .collect();
+        for sc in &sched.superchains {
+            ckpt_after[sc.tasks.last().unwrap().index()] = true;
+        }
+        let ctx = CostCtx::exponential(dag, 1e-5, 1e7);
+        let sg = coalesce(&ctx, &sched, &CheckpointPlan { ckpt_after }).unwrap();
+        let pdag = &sg.pdag;
+
+        let mut from_succs = BTreeSet::new();
+        let mut from_preds = BTreeSet::new();
+        for v in pdag.node_ids() {
+            for &x in pdag.succs(v) {
+                prop_assert!(from_succs.insert((v.0, x.0)), "duplicate edge {v:?} -> {x:?}");
+            }
+            for &u in pdag.preds(v) {
+                prop_assert!(from_preds.insert((u.0, v.0)), "duplicate pred {u:?} -> {v:?}");
+            }
+        }
+        prop_assert_eq!(&from_succs, &from_preds);
+
+        let seg = |t: TaskId| sg.task_segment[t.index()];
+        let mut want = BTreeSet::new();
+        for v in dag.task_ids() {
+            for &(u, _) in dag.preds(v) {
+                if seg(u) != seg(v) {
+                    want.insert((seg(u), seg(v)));
+                }
+            }
+        }
+        for chains in &sched.proc_chains {
+            let mut order = chains
+                .iter()
+                .flat_map(|&sc| sched.superchains[sc].tasks.iter().map(|&t| seg(t)));
+            if let Some(mut prev) = order.next() {
+                for s in order {
+                    if s != prev {
+                        want.insert((prev, s));
+                    }
+                    prev = s;
+                }
+            }
+        }
+        prop_assert_eq!(from_succs, want);
     }
 }

@@ -125,6 +125,20 @@ impl ProbDag {
         }
     }
 
+    /// Adds a dependence edge `u → v` that the caller knows is not
+    /// present yet, skipping [`ProbDag::add_edge`]'s duplicate scan
+    /// (linear in `u`'s out-degree). Debug builds still check that the
+    /// edge is new.
+    pub fn add_new_edge(&mut self, u: NodeId, v: NodeId) {
+        assert_ne!(u, v, "self-loop");
+        debug_assert!(
+            !self.succ[u.index()].contains(&v),
+            "duplicate edge {u:?} -> {v:?}"
+        );
+        self.succ[u.index()].push(v);
+        self.pred[v.index()].push(u);
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn n_nodes(&self) -> usize {
@@ -296,6 +310,37 @@ mod tests {
         g.add_edge(a, b);
         g.add_edge(a, b);
         assert_eq!(g.n_edges(), 1);
+    }
+
+    #[test]
+    fn new_edges_append_in_call_order() {
+        let mut g = ProbDag::new();
+        let [a, b, c] = [(); 3].map(|_| g.add_node(NodeDist::Certain(1.0)));
+        g.add_new_edge(a, c);
+        g.add_new_edge(b, c);
+        g.add_new_edge(a, b);
+        assert_eq!(g.succs(a), &[c, b]);
+        assert_eq!(g.preds(c), &[a, b]);
+        assert_eq!(g.n_edges(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop")]
+    fn new_edge_rejects_self_loop() {
+        let mut g = ProbDag::new();
+        let a = g.add_node(NodeDist::Certain(1.0));
+        g.add_new_edge(a, a);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate edge")]
+    fn new_edge_rejects_duplicate_in_debug() {
+        let mut g = ProbDag::new();
+        let a = g.add_node(NodeDist::Certain(1.0));
+        let b = g.add_node(NodeDist::Certain(1.0));
+        g.add_new_edge(a, b);
+        g.add_new_edge(a, b);
     }
 
     #[test]
