@@ -2,16 +2,31 @@
 //! coalesced Genome-300 CkptAll graph (the paper's speed comparison:
 //! PathApprox ≪ Normal < Dodin ≪ MonteCarlo).
 
-use ckpt_bench::{instance, pipeline_for};
-use ckpt_core::Strategy;
+use ckpt_bench::{instance, BANDWIDTH};
+use ckpt_core::stage::{schedule_stage, segment_graph_for};
+use ckpt_core::{lambda_from_pfail, AllocateConfig, CkptAllPolicy, CostCtx};
 use criterion::{criterion_group, criterion_main, Criterion};
-use probdag::{Dodin, Evaluator, MonteCarlo, NormalSculli, PathApprox};
+use pegasus::WorkflowClass;
+use probdag::{Dodin, Evaluator, MonteCarlo, NormalSculli, PathApprox, ProbDag};
+
+/// The coalesced CkptAll graph of a `class`-300 instance at CCR 1e-3,
+/// scheduled on 18 processors with pfail 0.01 (seed 42).
+fn ckptall_graph(class: WorkflowClass) -> ProbDag {
+    let w = instance(class, 300, 1e-3, 42);
+    let cfg = AllocateConfig {
+        seed: 42,
+        ..Default::default()
+    };
+    let schedule = schedule_stage(&w, 18, &cfg).unwrap();
+    let lambda = lambda_from_pfail(0.01, w.dag.mean_weight());
+    let ctx = CostCtx::exponential(&w.dag, lambda, BANDWIDTH);
+    segment_graph_for(&ctx, &schedule, &CkptAllPolicy)
+        .unwrap()
+        .pdag
+}
 
 fn bench_evaluators(c: &mut Criterion) {
-    let w = instance(pegasus::WorkflowClass::Genome, 300, 1e-3, 42);
-    let pipe = pipeline_for(&w, 18, 0.01, 42);
-    let sg = pipe.segment_graph(Strategy::CkptAll);
-    let pdag = sg.pdag;
+    let pdag = ckptall_graph(WorkflowClass::Genome);
 
     let mut group = c.benchmark_group("evaluators-genome300");
     group.bench_function("pathapprox", |b| {
@@ -42,10 +57,7 @@ fn bench_pathapprox_montage(c: &mut Criterion) {
     // steady-state assess loop: arena + heap + bitsets at their
     // high-water marks, no per-run allocations); `fresh` constructs a
     // new evaluator per run.
-    let w = instance(pegasus::WorkflowClass::Montage, 300, 1e-3, 42);
-    let pipe = pipeline_for(&w, 18, 0.01, 42);
-    let sg = pipe.segment_graph(Strategy::CkptAll);
-    let pdag = sg.pdag;
+    let pdag = ckptall_graph(WorkflowClass::Montage);
 
     let mut group = c.benchmark_group("pathapprox-montage300-k256");
     let reused = PathApprox::default();

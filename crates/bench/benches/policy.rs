@@ -10,7 +10,8 @@
 use ckpt_core::policy::{
     CheckpointPolicy, DalyPeriodic, DpOptimalPolicy, GreedyCrossover, PolicyScratch, RiskThreshold,
 };
-use ckpt_core::{AllocateConfig, FailureModel, Pipeline, Platform};
+use ckpt_core::stage::{curve_stage, placement_stage, schedule_stage};
+use ckpt_core::{AllocateConfig, CostCtx, FailureModel, Platform};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pegasus::ccr::scale_to_ccr;
 use pegasus::WorkflowClass;
@@ -29,22 +30,20 @@ fn bench_policy_planning(c: &mut Criterion) {
         let bw = 1e8;
         scale_to_ccr(&mut w, 0.01, bw);
         let lambda = ckpt_core::lambda_from_pfail(0.001, w.dag.mean_weight());
-        let platform = Platform::new(18, lambda, bw);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
+        let schedule = schedule_stage(&w, 18, &AllocateConfig::default()).unwrap();
+        let ctx = CostCtx::exponential(&w.dag, lambda, bw);
         let mut scratch = PolicyScratch::new();
         for (name, policy) in policies {
-            group.bench_with_input(
-                BenchmarkId::new(name, format!("{class}-300")),
-                &pipe,
-                |b, pipe| b.iter(|| pipe.plan_policy_reusing(policy, &mut scratch)),
-            );
+            group.bench_function(BenchmarkId::new(name, format!("{class}-300")), |b| {
+                b.iter(|| placement_stage(&ctx, &schedule, policy, &mut scratch, 1).unwrap())
+            });
         }
     }
     group.finish();
 }
 
 fn bench_policy_planning_weibull(c: &mut Criterion) {
-    // Non-memoryless planning rides the pipeline's RestartCurve: the
+    // Non-memoryless planning rides the curve stage's RestartCurve: the
     // DP's O(n²) renewal queries and Daly's effective-rate fixed point
     // both answer from the table.
     let mut group = c.benchmark_group("policy-planning-weibull-k2");
@@ -54,7 +53,9 @@ fn bench_policy_planning_weibull(c: &mut Criterion) {
     scale_to_ccr(&mut w, 0.01, bw);
     let model = FailureModel::weibull_from_pfail(2.0, 0.001, w.dag.mean_weight());
     let platform = Platform::with_model(18, model, bw);
-    let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
+    let schedule = schedule_stage(&w, 18, &AllocateConfig::default()).unwrap();
+    let curve = curve_stage(&w.dag, &platform).unwrap();
+    let ctx = CostCtx::with_curve(&w.dag, model, bw, curve.as_ref());
     let mut scratch = PolicyScratch::new();
     let policies: [(&str, &dyn CheckpointPolicy); 3] = [
         ("dp", &DpOptimalPolicy),
@@ -63,7 +64,7 @@ fn bench_policy_planning_weibull(c: &mut Criterion) {
     ];
     for (name, policy) in policies {
         group.bench_function(BenchmarkId::new(name, "genome-300"), |b| {
-            b.iter(|| pipe.plan_policy_reusing(policy, &mut scratch))
+            b.iter(|| placement_stage(&ctx, &schedule, policy, &mut scratch, 1).unwrap())
         });
     }
     group.finish();

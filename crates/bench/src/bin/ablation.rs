@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! cargo run -p ckpt_bench --release --bin ablation [-- --study all]
-//!     [--seed 42] [--threads 0] [--plan-threads 1] [--out results]
+//!     [--seed 42] [--threads 0] [--out results]
 //! ```
 
 use ckpt_bench::engine::{self, CsvFileSink, EngineConfig, Scenario};
@@ -27,8 +27,7 @@ fn main() {
     let threads: usize = args.get_or("threads", 0);
     let out_dir: String = args.get_or("out", "results".to_owned());
     let study: String = args.get_or("study", "all".to_owned());
-    let mut cfg = EngineConfig::with_threads(threads);
-    cfg.plan_threads = args.get_or("plan-threads", 1);
+    let cfg = EngineConfig::with_threads(threads);
     match study.as_str() {
         "linearization" => linearization(seed, &out_dir, &cfg),
         "naive-coalesce" => naive_coalesce(seed, &out_dir, &cfg),

@@ -8,7 +8,7 @@
 //! ```text
 //! cargo run -p ckpt_bench --release --bin figures [-- --workflow genome|montage|ligo]
 //!     [--points 9] [--instances 3] [--seed 42] [--threads 0]
-//!     [--plan-threads 1] [--out results]
+//!     [--out results]
 //! ```
 
 use ckpt_bench::engine::{self, CsvFileSink, EngineConfig};
@@ -30,8 +30,7 @@ fn main() {
         Some(c) => vec![c.parse().expect("unknown workflow class")],
         None => WorkflowClass::ALL.to_vec(),
     };
-    let mut cfg = EngineConfig::with_threads(threads);
-    cfg.plan_threads = args.get_or("plan-threads", 1);
+    let cfg = EngineConfig::with_threads(threads);
     for class in classes {
         let fig = match class {
             WorkflowClass::Genome => "fig5",

@@ -22,9 +22,12 @@
 
 use ckpt_bench::{stage_walls_since, Args, ObsOut, BANDWIDTH};
 use ckpt_core::stage::{
-    charged, evaluate_stage, schedule_stage, segment_graph_stage, wall_seconds, StageId,
+    charged, curve_stage, evaluate_stage, placement_stage, schedule_stage, segment_graph_stage,
+    wall_seconds, StageId,
 };
-use ckpt_core::{lambda_from_pfail, AllocateConfig, CostCtx, Pipeline, Platform, Strategy};
+use ckpt_core::{
+    lambda_from_pfail, AllocateConfig, CostCtx, DpOptimalPolicy, Platform, PolicyScratch,
+};
 use mspg::linearize::Linearizer;
 use probdag::PathApprox;
 
@@ -58,12 +61,17 @@ fn main() {
     let n_chains = schedule.superchains.len();
     let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
     let platform = Platform::new(procs, lambda, BANDWIDTH);
-    let pipe = Pipeline::with_schedule(&w, platform, schedule).with_plan_threads(plan_threads);
-    let plan = pipe.plan(Strategy::CkptSome);
-    // Coalescing reuses the computed plan rather than replanning
-    // through `segment_graph`.
-    let ctx = CostCtx::exponential(&w.dag, lambda, BANDWIDTH);
-    let sg = segment_graph_stage(&ctx, &pipe.schedule, &plan).expect("coalescing cannot fail");
+    let curve = curve_stage(&w.dag, &platform).expect("the bandwidth is positive");
+    let ctx = CostCtx::with_curve(&w.dag, platform.model, BANDWIDTH, curve.as_ref());
+    let plan = placement_stage(
+        &ctx,
+        &schedule,
+        &DpOptimalPolicy,
+        &mut PolicyScratch::new(),
+        plan_threads,
+    )
+    .expect("placement cannot fail");
+    let sg = segment_graph_stage(&ctx, &schedule, &plan).expect("coalescing cannot fail");
     let em = (eval != 0)
         .then(|| evaluate_stage(&sg, &PathApprox::default()).expect("expected makespan is finite"));
 

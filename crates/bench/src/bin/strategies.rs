@@ -14,7 +14,7 @@
 //! ```text
 //! cargo run -p ckpt_bench --release --bin strategies
 //!     [-- --runs 400] [--sizes 50] [--seed 42] [--threads 0]
-//!     [--mc-threads 0] [--plan-threads 1] [--out results]
+//!     [--mc-threads 0] [--out results]
 //! ```
 
 use ckpt_bench::engine::{self, CsvFileSink, EngineConfig};
@@ -30,7 +30,6 @@ fn main() {
     let seed: u64 = args.get_or("seed", 42);
     let threads: usize = args.get_or("threads", 0);
     let mc_threads: usize = args.get_or("mc-threads", 0);
-    let plan_threads: usize = args.get_or("plan-threads", 1);
     let out_dir: String = args.get_or("out", "results".to_owned());
     let sizes: Vec<usize> = args
         .get("sizes")
@@ -43,7 +42,6 @@ fn main() {
     let cfg = EngineConfig {
         threads,
         mc_threads,
-        plan_threads,
     };
     println!("# E10 checkpoint-policy study ({runs} simulated runs per cell)");
     let scenario = StrategiesScenario::standard(runs, sizes, seed);

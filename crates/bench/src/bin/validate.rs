@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! cargo run -p ckpt_bench --release --bin validate [-- --runs 5000]
-//!     [--seed 42] [--threads 0] [--mc-threads 0] [--plan-threads 1]
+//!     [--seed 42] [--threads 0] [--mc-threads 0]
 //!     [--out results]
 //! ```
 
@@ -30,7 +30,6 @@ fn main() {
     let seed: u64 = args.get_or("seed", 42);
     let threads: usize = args.get_or("threads", 0);
     let mc_threads: usize = args.get_or("mc-threads", 0);
-    let plan_threads: usize = args.get_or("plan-threads", 1);
     let out_dir: String = args.get_or("out", "results".to_owned());
     let scenario = ValidateScenario {
         runs,
@@ -43,7 +42,6 @@ fn main() {
     let cfg = EngineConfig {
         threads,
         mc_threads,
-        plan_threads,
     };
     let walls = wall_seconds();
     let report = engine::run(&scenario, &cfg, &mut sink).expect("write CSV");

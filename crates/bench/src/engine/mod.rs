@@ -41,9 +41,10 @@
 //! ## Stage timing
 //!
 //! Every stage execution inside a cell — the store's generate and
-//! schedule misses, the pipelines' curve, placement, coalescing and
-//! evaluation, and the evaluator and simulator calls scenarios make
-//! directly — runs through `ckpt_core::stage::traced` (or its
+//! schedule misses, the curve, placement, coalescing and evaluation
+//! stages scenarios compose (mostly through `ckpt_core::stage::assess`
+//! on a stored schedule), and the evaluator and simulator calls they
+//! make directly — runs through `ckpt_core::stage::traced` (or its
 //! infallible twin `charged`), which charges it to
 //! `ckpt_stage_wall_seconds{stage=<StageId>}`. The grid binaries print
 //! the seven totals as their `stage walls:` stderr line (see
@@ -61,7 +62,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ckpt_core::stage::{charged, schedule_stage, StageId};
-use ckpt_core::{lambda_from_pfail, AllocateConfig, FailureModel, Pipeline, Platform, Schedule};
+use ckpt_core::{AllocateConfig, Schedule};
 use ckpt_service::{schedule_key, Store, WorkflowArtifact};
 use mspg::linearize::Linearizer;
 use mspg::Workflow;
@@ -84,24 +85,16 @@ pub struct EngineConfig {
     /// estimates are bit-identical functions of `(seed, runs)` for any
     /// budget, so this never affects the CSV.
     pub mc_threads: usize,
-    /// Thread budget for per-superchain checkpoint placement inside one
-    /// cell's `Pipeline::plan` (1 = serial, the default; 0 = all
-    /// cores). A pure speed knob: policy placement is a pure function
-    /// of each superchain, so placements — and hence the CSV — are
-    /// bit-identical for any budget (see `DESIGN.md` §9). Cell workers
-    /// already saturate the cores on full grids, so this mostly pays on
-    /// single huge workflows (the `planscale` binary).
-    pub plan_threads: usize,
 }
 
 impl EngineConfig {
-    /// `threads` cell workers with fully parallel nested Monte Carlo and
-    /// serial per-cell planning.
+    /// `threads` cell workers with fully parallel nested Monte Carlo.
+    /// Placement inside a cell is serial: cell workers already saturate
+    /// the cores on full grids.
     pub fn with_threads(threads: usize) -> Self {
         EngineConfig {
             threads,
             mc_threads: 0,
-            plan_threads: 1,
         }
     }
 }
@@ -121,14 +114,11 @@ pub struct CellCtx<'e> {
     /// `failsim::SimConfig::threads`; it only sets the pace, never the
     /// values.
     pub mc_threads: usize,
-    /// Per-superchain placement budget handed to every pipeline this
-    /// context builds (see [`EngineConfig::plan_threads`]).
-    pub plan_threads: usize,
 }
 
-/// Why a store resolution in a grid cannot fail: grid inputs are valid
-/// by construction and grids never arm fault injection.
-const VALID_GRID: &str = "grid inputs are valid and fault injection is off";
+/// Why a stage in a grid cannot fail: grid inputs are valid by
+/// construction and grids never arm fault injection.
+pub(crate) const VALID_GRID: &str = "grid inputs are valid and fault injection is off";
 
 impl CellCtx<'_> {
     /// Seed of instance `i` of this cell's `(class, size)` lane.
@@ -157,7 +147,9 @@ impl CellCtx<'_> {
     }
 
     /// The schedule of instance `i` on the cell's processors, computed
-    /// on the **unscaled** instance on first use.
+    /// on the **unscaled** instance on first use. Scenarios assess the
+    /// rescaled clone from [`CellCtx::scaled_instance`] on it directly:
+    /// it covers that clone by construction.
     ///
     /// For `Structural`/`RandomTopo` linearizers this is bit-identical to
     /// scheduling any CCR-rescaled clone; for `MinVolume` (which ranks by
@@ -174,37 +166,6 @@ impl CellCtx<'_> {
             schedule_stage(&wa.workflow, cell.procs, &alloc)
         });
         schedule.expect(VALID_GRID)
-    }
-
-    /// The evaluation pipeline of the rescaled instance `w` (a clone
-    /// obtained from [`CellCtx::scaled_instance`]) under the stored
-    /// schedule and the cell's platform.
-    pub fn pipeline<'w>(
-        &self,
-        cell: &Cell,
-        i: usize,
-        w: &'w Workflow,
-        linearizer: Linearizer,
-    ) -> Pipeline<'w> {
-        let lambda = lambda_from_pfail(cell.pfail, w.dag.mean_weight());
-        self.pipeline_with_model(cell, i, w, linearizer, FailureModel::exponential(lambda))
-    }
-
-    /// [`CellCtx::pipeline`] with an arbitrary failure model (the
-    /// `distributions` scenario calibrates one per cell from the cell's
-    /// `pfail` and the instance's mean weight).
-    pub fn pipeline_with_model<'w>(
-        &self,
-        cell: &Cell,
-        i: usize,
-        w: &'w Workflow,
-        linearizer: Linearizer,
-        model: FailureModel,
-    ) -> Pipeline<'w> {
-        let platform = Platform::with_model(cell.procs, model, BANDWIDTH);
-        let schedule = self.schedule(cell, i, linearizer);
-        Pipeline::with_schedule(w, platform, (*schedule).clone())
-            .with_plan_threads(self.plan_threads)
     }
 }
 
@@ -250,8 +211,6 @@ pub struct RunReport<R> {
     pub workers: usize,
     /// Nested Monte Carlo budget each cell received (0 = all cores).
     pub mc_threads: usize,
-    /// Per-superchain placement budget each pipeline received.
-    pub plan_threads: usize,
     /// Wall-clock seconds for the whole run.
     pub wall: f64,
     /// Workflow/schedule store counters.
@@ -335,7 +294,6 @@ pub fn run<S: Scenario>(
     let ctx = CellCtx {
         store: &store,
         mc_threads,
-        plan_threads: cfg.plan_threads,
     };
     // Fail fast with attribution: a sink that can no longer be written
     // aborts the run, and the surfaced error names the scenario (and,
@@ -391,7 +349,6 @@ pub fn run<S: Scenario>(
         cells: cells.len(),
         workers,
         mc_threads,
-        plan_threads: cfg.plan_threads,
         wall: start.elapsed().as_secs_f64(),
         cache: CacheStats::of(&store),
     })
@@ -482,7 +439,6 @@ mod tests {
         let ctx = CellCtx {
             store,
             mc_threads: 1,
-            plan_threads: 1,
         };
         let cell = Cell {
             index: 0,
@@ -560,11 +516,9 @@ mod tests {
         let cfg = EngineConfig {
             threads: 2,
             mc_threads: 3,
-            plan_threads: 4,
         };
         let report = run(&Probe, &cfg, &mut NullSink).unwrap();
         assert_eq!(report.mc_threads, 3);
-        assert_eq!(report.plan_threads, 4);
     }
 
     /// A sink that fails on the nth row.

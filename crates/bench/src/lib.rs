@@ -37,9 +37,13 @@ pub mod summary;
 
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
-use ckpt_core::stage::{charged, wall_seconds, StageId};
-use ckpt_core::{lambda_from_pfail, AllocateConfig, Pipeline, Platform, Strategy};
+use ckpt_core::stage::{assess, curve_stage, schedule_stage, wall_seconds, StageId};
+use ckpt_core::{
+    lambda_from_pfail, AllocateConfig, CostCtx, FailureModel, Platform, RestartCurve, Schedule,
+    Strategy,
+};
 use mspg::Workflow;
 use pegasus::ccr::scale_to_ccr;
 use pegasus::WorkflowClass;
@@ -114,22 +118,26 @@ pub fn figure_cell(
         instances,
         seed: base_seed,
     };
-    let seed = |i: usize| base_seed.wrapping_add(i as u64);
-    figure_row(
-        &cell,
-        |i| instance(class, size, ccr, seed(i)),
-        |i, w| pipeline_for(w, procs, pfail, seed(i)),
-    )
+    figure_row(&cell, |i| {
+        let seed = base_seed.wrapping_add(i as u64);
+        let w = instance(class, size, ccr, seed);
+        let cfg = AllocateConfig {
+            seed,
+            ..Default::default()
+        };
+        let schedule = schedule_stage(&w, procs, &cfg).expect(engine::VALID_GRID);
+        (w, Arc::new(schedule))
+    })
 }
 
 /// The figure experiments' per-cell computation: for each of the
-/// cell's instances, `scaled(i)` yields the CCR-rescaled workflow and
-/// `pipeline(i, w)` its evaluation pipeline; CkptSome, CkptAll and
-/// CkptNone are assessed and averaged into one row.
+/// cell's instances, `instance(i)` yields the CCR-rescaled workflow and
+/// its schedule on the cell's processors; CkptSome, CkptAll and
+/// CkptNone are assessed on that schedule under the cell's exponential
+/// platform and averaged into one row.
 pub(crate) fn figure_row(
     cell: &engine::Cell,
-    scaled: impl Fn(usize) -> Workflow,
-    pipeline: impl Fn(usize, &Workflow) -> Pipeline<'_>,
+    instance: impl Fn(usize) -> (Workflow, Arc<Schedule>),
 ) -> FigureRow {
     assert!(cell.instances >= 1);
     let evaluator = PathApprox::default();
@@ -137,14 +145,18 @@ pub(crate) fn figure_row(
     let mut ckpts = 0usize;
     let mut actual = 0usize;
     for i in 0..cell.instances {
-        let w = scaled(i);
+        let (w, schedule) = instance(i);
         actual = w.n_tasks();
-        let pipe = pipeline(i, &w);
-        let some = pipe.assess(Strategy::CkptSome, &evaluator);
+        let model = exponential(cell, &w);
+        let curve = curve(cell, &w, model);
+        let ctx = CostCtx::with_curve(&w.dag, model, BANDWIDTH, curve.as_ref());
+        let em =
+            |strategy| assess(&ctx, &schedule, strategy, &evaluator).expect(engine::VALID_GRID);
+        let some = em(Strategy::CkptSome);
         em_some += some.expected_makespan;
         ckpts += some.n_checkpoints;
-        em_all += pipe.assess(Strategy::CkptAll, &evaluator).expected_makespan;
-        em_none += theorem1_em(&pipe);
+        em_all += em(Strategy::CkptAll).expected_makespan;
+        em_none += em(Strategy::CkptNone).expected_makespan;
     }
     let nf = cell.instances as f64;
     let (em_some, em_all, em_none) = (em_some / nf, em_all / nf, em_none / nf);
@@ -162,6 +174,24 @@ pub(crate) fn figure_row(
         rel_all: em_all / em_some,
         rel_none: em_none / em_some,
     }
+}
+
+/// The cell's exponential failure model: `pfail` calibrated on the
+/// mean task weight of the rescaled instance `w`.
+pub(crate) fn exponential(cell: &engine::Cell, w: &Workflow) -> FailureModel {
+    FailureModel::exponential(lambda_from_pfail(cell.pfail, w.dag.mean_weight()))
+}
+
+/// The curve stage for `w` on the cell's processors failing under
+/// `model` at the experiment bandwidth: the renewal table a
+/// non-memoryless [`CostCtx`] borrows (`None` for memoryless models).
+pub(crate) fn curve(
+    cell: &engine::Cell,
+    w: &Workflow,
+    model: FailureModel,
+) -> Option<RestartCurve> {
+    let platform = Platform::with_model(cell.procs, model, BANDWIDTH);
+    curve_stage(&w.dag, &platform).expect(engine::VALID_GRID)
 }
 
 /// Runs the full grid for one class (one figure): sizes × processor
@@ -224,27 +254,6 @@ pub fn instance(class: WorkflowClass, size: usize, ccr: f64, seed: u64) -> Workf
     let mut w = pegasus::generate(class, size, seed);
     scale_to_ccr(&mut w, ccr, BANDWIDTH);
     w
-}
-
-/// Builds the evaluation pipeline for an instance.
-pub fn pipeline_for<'a>(w: &'a Workflow, procs: usize, pfail: f64, seed: u64) -> Pipeline<'a> {
-    let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
-    let platform = Platform::new(procs, lambda, BANDWIDTH);
-    let cfg = AllocateConfig {
-        seed,
-        ..Default::default()
-    };
-    Pipeline::new(w, platform, &cfg)
-}
-
-/// CkptNone's expected makespan on `pipe`: the Theorem 1 closed form,
-/// which no stage function runs, so it is charged to
-/// [`StageId::EvalAnalytic`] here.
-pub(crate) fn theorem1_em(pipe: &Pipeline<'_>) -> f64 {
-    charged(StageId::EvalAnalytic, || {
-        pipe.assess(Strategy::CkptNone, &PathApprox::default())
-    })
-    .expected_makespan
 }
 
 /// The grid binaries' `stage walls:` stderr line: seconds each

@@ -7,9 +7,8 @@
 //! ([`StrategiesScenario`]) along the checkpoint-policy axis (the DP vs
 //! Young/Daly periodic, risk-threshold, and structural placements).
 
-use ckpt_core::policy::CheckpointPolicy;
-use ckpt_core::stage::{charged, StageId};
-use ckpt_core::{allocate, AllocateConfig, FailureModel, Pipeline, Schedule, Strategy};
+use ckpt_core::stage::{assess, assess_graph, charged, segment_graph_for, StageId};
+use ckpt_core::{allocate, AllocateConfig, CostCtx, FailureModel, Schedule, Strategy};
 use ckpt_service::PolicySpec;
 use failsim::{montecarlo_none_model, montecarlo_segments_model, McStats, SimConfig};
 use mspg::linearize::Linearizer;
@@ -18,9 +17,9 @@ use pegasus::ccr::scale_to_ccr;
 use pegasus::WorkflowClass;
 use probdag::{Dodin, Evaluator, MonteCarlo, NormalSculli, PathApprox};
 
-use crate::engine::{CcrAxis, Cell, CellCtx, Grid, ProcAxis, Scenario, StrategyAxis};
+use crate::engine::{CcrAxis, Cell, CellCtx, Grid, ProcAxis, Scenario, StrategyAxis, VALID_GRID};
 use crate::{
-    figure_csv, figure_row, theorem1_em, FigureRow, BANDWIDTH, FIGURE_HEADER, PFAILS, SIZES,
+    curve, exponential, figure_csv, figure_row, FigureRow, BANDWIDTH, FIGURE_HEADER, PFAILS, SIZES,
 };
 
 /// E1/E2/E3 — one figure: relative expected makespan of CkptAll and
@@ -81,11 +80,10 @@ impl Scenario for FigureScenario {
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<FigureRow> {
-        vec![figure_row(
-            cell,
-            |i| ctx.scaled_instance(cell, i),
-            |i, w| ctx.pipeline(cell, i, w, Linearizer::RandomTopo),
-        )]
+        vec![figure_row(cell, |i| {
+            let w = ctx.scaled_instance(cell, i);
+            (w, ctx.schedule(cell, i, Linearizer::RandomTopo))
+        })]
     }
 
     fn header(&self) -> String {
@@ -162,8 +160,14 @@ impl Scenario for AccuracyScenario {
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<AccuracyRow> {
         let strategy = cell.strategy.expect("accuracy cells carry a strategy");
         let w = ctx.scaled_instance(cell, 0);
-        let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
-        let sg = pipe.segment_graph(strategy);
+        let schedule = ctx.schedule(cell, 0, Linearizer::RandomTopo);
+        let model = exponential(cell, &w);
+        let curve = curve(cell, &w, model);
+        let cost = CostCtx::with_curve(&w.dag, model, BANDWIDTH, curve.as_ref());
+        let policy = strategy
+            .policy()
+            .expect("accuracy strategies place checkpoints");
+        let sg = segment_graph_for(&cost, &schedule, policy).expect(VALID_GRID);
         let mc = MonteCarlo {
             trials: self.trials,
             seed: ctx.instance_seed(cell, 0),
@@ -289,7 +293,10 @@ impl Scenario for ValidateScenario {
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<ValidateRow> {
         let w = ctx.scaled_instance(cell, 0);
-        let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
+        let schedule = ctx.schedule(cell, 0, Linearizer::RandomTopo);
+        let model = exponential(cell, &w);
+        let curve = curve(cell, &w, model);
+        let cost = CostCtx::with_curve(&w.dag, model, BANDWIDTH, curve.as_ref());
         let cfg = SimConfig {
             runs: self.runs,
             seed: ctx.instance_seed(cell, 0),
@@ -299,7 +306,7 @@ impl Scenario for ValidateScenario {
         [Strategy::CkptAll, Strategy::CkptSome, Strategy::CkptNone]
             .into_iter()
             .map(|strategy| {
-                let (model_em, sim, diverged) = model_vs_sim(&pipe, strategy, &cfg);
+                let (model_em, sim, diverged) = model_vs_sim(&cost, &schedule, strategy, &cfg);
                 ValidateRow {
                     class: cell.class,
                     size: cell.size,
@@ -341,24 +348,29 @@ impl Scenario for ValidateScenario {
 }
 
 /// One strategy's first-order estimate against its simulation on
-/// `pipe`, under the pipeline's failure model: `(model_em, sim,
+/// `schedule`, under the failure model of `cost`: `(model_em, sim,
 /// diverged runs)`. A checkpointed strategy's one segment graph serves
 /// both columns (PathApprox and the segment simulator); CkptNone pairs
 /// Theorem 1 with the crossover-cascade simulator.
-fn model_vs_sim(pipe: &Pipeline<'_>, strategy: Strategy, cfg: &SimConfig) -> (f64, McStats, usize) {
-    let model = pipe.platform.model;
-    if strategy == Strategy::CkptNone {
+fn model_vs_sim(
+    cost: &CostCtx<'_>,
+    schedule: &Schedule,
+    strategy: Strategy,
+    cfg: &SimConfig,
+) -> (f64, McStats, usize) {
+    let Some(policy) = strategy.policy() else {
         let sim = charged(StageId::EvalMc, || {
-            montecarlo_none_model(&pipe.workflow.dag, &pipe.schedule, &model, cfg)
+            montecarlo_none_model(cost.dag, schedule, &cost.model, cfg)
         });
-        return (theorem1_em(pipe), sim.stats, sim.diverged);
-    }
-    let sg = pipe.segment_graph(strategy);
+        let none = assess(cost, schedule, strategy, &PathApprox::default()).expect(VALID_GRID);
+        return (none.expected_makespan, sim.stats, sim.diverged);
+    };
+    let sg = segment_graph_for(cost, schedule, policy).expect(VALID_GRID);
     let em = charged(StageId::EvalAnalytic, || {
         PathApprox::default().expected_makespan(&sg.pdag)
     });
     let sim = charged(StageId::EvalMc, || {
-        montecarlo_segments_model(&sg, &model, cfg)
+        montecarlo_segments_model(&sg, &cost.model, cfg)
     });
     (em, sim, 0)
 }
@@ -420,10 +432,14 @@ impl Scenario for LinearizationScenario {
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<LinearizationRow> {
         let w = ctx.scaled_instance(cell, 0);
+        let model = exponential(cell, &w);
         let evaluator = PathApprox::default();
         let em = |lin: Linearizer| {
-            ctx.pipeline(cell, 0, &w, lin)
-                .assess(Strategy::CkptSome, &evaluator)
+            let schedule = ctx.schedule(cell, 0, lin);
+            let curve = curve(cell, &w, model);
+            let cost = CostCtx::with_curve(&w.dag, model, BANDWIDTH, curve.as_ref());
+            assess(&cost, &schedule, Strategy::CkptSome, &evaluator)
+                .expect(VALID_GRID)
                 .expected_makespan
         };
         let em_random = em(Linearizer::RandomTopo);
@@ -514,9 +530,16 @@ impl Scenario for NaiveCoalesceScenario {
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<NaiveCoalesceRow> {
         let w = ctx.scaled_instance(cell, 0);
-        let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
+        let schedule = ctx.schedule(cell, 0, Linearizer::RandomTopo);
+        let model = exponential(cell, &w);
+        let curve = curve(cell, &w, model);
+        let cost = CostCtx::with_curve(&w.dag, model, BANDWIDTH, curve.as_ref());
         let evaluator = PathApprox::default();
-        let em = |strategy: Strategy| pipe.assess(strategy, &evaluator).expected_makespan;
+        let em = |strategy: Strategy| {
+            assess(&cost, &schedule, strategy, &evaluator)
+                .expect(VALID_GRID)
+                .expected_makespan
+        };
         let em_exit_only = em(Strategy::ExitOnly);
         let em_ckptsome = em(Strategy::CkptSome);
         vec![NaiveCoalesceRow {
@@ -615,10 +638,18 @@ impl LigoFootnoteScenario {
     }
 }
 
-/// CkptAll / CkptSome expected makespan on `pipe`.
-fn rel_all(pipe: &Pipeline<'_>) -> f64 {
+/// CkptAll / CkptSome expected makespan of the cell's exponential
+/// platform on the rescaled instance `w` scheduled by `schedule`.
+fn rel_all(cell: &Cell, w: &Workflow, schedule: &Schedule) -> f64 {
+    let model = exponential(cell, w);
+    let curve = curve(cell, w, model);
+    let cost = CostCtx::with_curve(&w.dag, model, BANDWIDTH, curve.as_ref());
     let evaluator = PathApprox::default();
-    let em = |strategy: Strategy| pipe.assess(strategy, &evaluator).expected_makespan;
+    let em = |strategy: Strategy| {
+        assess(&cost, schedule, strategy, &evaluator)
+            .expect(VALID_GRID)
+            .expected_makespan
+    };
     em(Strategy::CkptAll) / em(Strategy::CkptSome)
 }
 
@@ -647,17 +678,14 @@ impl Scenario for LigoFootnoteScenario {
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<LigoFootnoteRow> {
         let mainline = ctx.scaled_instance(cell, 0);
-        let rel_all_mainline = rel_all(&ctx.pipeline(cell, 0, &mainline, Linearizer::RandomTopo));
+        let schedule = ctx.schedule(cell, 0, Linearizer::RandomTopo);
+        let rel_all_mainline = rel_all(cell, &mainline, &schedule);
         let patched = charged(StageId::Generate, || {
             let mut w = self.patched.clone();
             scale_to_ccr(&mut w, cell.ccr, BANDWIDTH);
             w
         });
-        let lambda = ckpt_core::lambda_from_pfail(cell.pfail, patched.dag.mean_weight());
-        let platform = ckpt_core::Platform::new(cell.procs, lambda, BANDWIDTH);
-        let pipe = Pipeline::with_schedule(&patched, platform, self.patched_schedule.clone())
-            .with_plan_threads(ctx.plan_threads);
-        let rel_all_patched = rel_all(&pipe);
+        let rel_all_patched = rel_all(cell, &patched, &self.patched_schedule);
         vec![LigoFootnoteRow {
             ccr: cell.ccr,
             pfail: cell.pfail,
@@ -881,7 +909,9 @@ impl Scenario for DistributionsScenario {
         let dist = self.model_of(cell);
         let w = ctx.scaled_instance(cell, 0);
         let model = dist.calibrate(cell.pfail, w.dag.mean_weight());
-        let pipe = ctx.pipeline_with_model(cell, 0, &w, Linearizer::RandomTopo, model);
+        let schedule = ctx.schedule(cell, 0, Linearizer::RandomTopo);
+        let curve = curve(cell, &w, model);
+        let cost = CostCtx::with_curve(&w.dag, model, BANDWIDTH, curve.as_ref());
         let cfg = SimConfig {
             runs: self.runs,
             seed: ctx.instance_seed(cell, 0),
@@ -901,7 +931,7 @@ impl Scenario for DistributionsScenario {
         ]
         .into_iter()
         .map(|strategy| {
-            let (model_em, sim, diverged) = model_vs_sim(&pipe, strategy, &cfg);
+            let (model_em, sim, diverged) = model_vs_sim(&cost, &schedule, strategy, &cfg);
             let sim_em = sim.mean_makespan;
             DistributionRow {
                 class: cell.class,
@@ -950,56 +980,6 @@ impl Scenario for DistributionsScenario {
             r.rel_err_pct,
             r.diverged
         )
-    }
-}
-
-/// A checkpoint-policy point of the E10 `strategies` grid: the builtin
-/// policy plus its knob, instantiable per cell.
-#[derive(Clone, Copy, Debug)]
-pub enum PolicyChoice {
-    /// The paper's DP placement (CkptSome).
-    DpOptimal,
-    /// Checkpoint after every task.
-    CkptAll,
-    /// Checkpoint superchain exits only.
-    ExitOnly,
-    /// Young/Daly periodic checkpointing with the model-derived period.
-    Daly,
-    /// Adaptive risk-threshold checkpointing with the given per-segment
-    /// failure-probability bound.
-    Risk {
-        /// Per-segment failure-probability bound, in `(0, 1)`.
-        max_risk: f64,
-    },
-    /// The structural crossover heuristic.
-    Crossover,
-}
-
-impl PolicyChoice {
-    /// The what-if service's specification of this policy, which
-    /// builds and names it.
-    fn spec(self) -> PolicySpec {
-        match self {
-            PolicyChoice::DpOptimal => PolicySpec::DpOptimal,
-            PolicyChoice::CkptAll => PolicySpec::CkptAll,
-            PolicyChoice::ExitOnly => PolicySpec::ExitOnly,
-            PolicyChoice::Daly => PolicySpec::Daly { period: None },
-            PolicyChoice::Risk { max_risk } => PolicySpec::Risk { max_risk },
-            PolicyChoice::Crossover => PolicySpec::Crossover,
-        }
-    }
-
-    /// Builds the policy object this choice names.
-    pub fn instantiate(&self) -> Box<dyn CheckpointPolicy> {
-        self.spec().build()
-    }
-
-    /// The policy's display name (CSV label). Knob values are **not**
-    /// encoded in the label, so a grid should carry at most one point
-    /// per policy family — two `Risk` points would emit
-    /// indistinguishable rows.
-    pub fn name(&self) -> &'static str {
-        self.spec().name()
     }
 }
 
@@ -1053,8 +1033,11 @@ pub struct StrategyRow {
 /// along both new axes.
 #[derive(Clone, Debug)]
 pub struct StrategiesScenario {
-    /// Checkpoint policies (blocks, outermost axis).
-    pub policies: Vec<PolicyChoice>,
+    /// Checkpoint policies (blocks, outermost axis). A policy's CSV
+    /// label does not encode its knob, so a grid should carry at most
+    /// one point per policy family — two `Risk` points would emit
+    /// indistinguishable rows.
+    pub policies: Vec<PolicySpec>,
     /// Failure-model family points (inner block axis).
     pub models: Vec<DistModel>,
     /// Workflow classes.
@@ -1081,12 +1064,12 @@ impl StrategiesScenario {
     pub fn standard(runs: usize, sizes: Vec<usize>, base_seed: u64) -> Self {
         StrategiesScenario {
             policies: vec![
-                PolicyChoice::DpOptimal,
-                PolicyChoice::CkptAll,
-                PolicyChoice::ExitOnly,
-                PolicyChoice::Daly,
-                PolicyChoice::Risk { max_risk: 0.1 },
-                PolicyChoice::Crossover,
+                PolicySpec::DpOptimal,
+                PolicySpec::CkptAll,
+                PolicySpec::ExitOnly,
+                PolicySpec::Daly { period: None },
+                PolicySpec::Risk { max_risk: 0.1 },
+                PolicySpec::Crossover,
             ],
             models: vec![
                 DistModel::Exponential,
@@ -1122,7 +1105,7 @@ impl StrategiesScenario {
     }
 
     /// The `(policy, model)` pair a cell belongs to.
-    fn block_of(&self, cell: &Cell) -> (PolicyChoice, DistModel) {
+    fn block_of(&self, cell: &Cell) -> (PolicySpec, DistModel) {
         let block = cell.index / self.cells_per_block();
         (
             self.policies[block / self.models.len()],
@@ -1186,15 +1169,24 @@ impl Scenario for StrategiesScenario {
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<StrategyRow> {
-        let (choice, dist) = self.block_of(cell);
+        let (spec, dist) = self.block_of(cell);
         let w = ctx.scaled_instance(cell, 0);
         let model = dist.calibrate(cell.pfail, w.dag.mean_weight());
-        let pipe = ctx.pipeline_with_model(cell, 0, &w, Linearizer::RandomTopo, model);
-        let policy = choice.instantiate();
+        let schedule = ctx.schedule(cell, 0, Linearizer::RandomTopo);
+        let curve = curve(cell, &w, model);
+        let cost = CostCtx::with_curve(&w.dag, model, BANDWIDTH, curve.as_ref());
+        let policy = spec.build();
         // One segment graph serves the analytic assessment (with its
         // placement census) and the simulation ground truth.
-        let sg = pipe.segment_graph_policy(policy.as_ref());
-        let assessment = pipe.assess_graph(policy.name(), &sg, &PathApprox::default());
+        let sg = segment_graph_for(&cost, &schedule, policy.as_ref()).expect(VALID_GRID);
+        let assessment = assess_graph(
+            &w.dag,
+            &schedule,
+            policy.name(),
+            &sg,
+            &PathApprox::default(),
+        )
+        .expect(VALID_GRID);
         let cfg = SimConfig {
             runs: self.runs,
             seed: ctx.instance_seed(cell, 0),
@@ -1399,7 +1391,6 @@ impl Scenario for DriftScenario {
             ..AllocateConfig::default()
         };
         let mut session = Session::new(inputs);
-        session.plan_threads = ctx.plan_threads;
         let mut rows = Vec::new();
         for (step, (kind, param, delta)) in self.ladder(cell.procs).into_iter().enumerate() {
             session.apply(&delta);
@@ -1563,10 +1554,10 @@ mod tests {
     fn strategies_mini_run_ranks_the_dp_first() {
         let s = StrategiesScenario {
             policies: vec![
-                PolicyChoice::DpOptimal,
-                PolicyChoice::Daly,
-                PolicyChoice::Risk { max_risk: 0.1 },
-                PolicyChoice::Crossover,
+                PolicySpec::DpOptimal,
+                PolicySpec::Daly { period: None },
+                PolicySpec::Risk { max_risk: 0.1 },
+                PolicySpec::Crossover,
             ],
             models: vec![DistModel::Exponential, DistModel::Weibull { shape: 2.0 }],
             classes: vec![WorkflowClass::Genome],

@@ -8,9 +8,10 @@
 
 use ckpt_bench::engine::{self, EngineConfig, NullSink, Scenario, StringSink};
 use ckpt_bench::scenarios::{
-    DistModel, DistributionsScenario, DriftScenario, FigureScenario, PolicyChoice,
-    StrategiesScenario, ValidateScenario,
+    DistModel, DistributionsScenario, DriftScenario, FigureScenario, StrategiesScenario,
+    ValidateScenario,
 };
+use ckpt_service::PolicySpec;
 use pegasus::WorkflowClass;
 
 fn csv<S: Scenario>(scenario: &S, threads: usize) -> String {
@@ -91,10 +92,10 @@ fn parallel_strategies_grid_is_byte_identical_to_serial() {
     // any thread count, including budgets beyond the cell count.
     let scenario = StrategiesScenario {
         policies: vec![
-            PolicyChoice::DpOptimal,
-            PolicyChoice::Daly,
-            PolicyChoice::Risk { max_risk: 0.1 },
-            PolicyChoice::Crossover,
+            PolicySpec::DpOptimal,
+            PolicySpec::Daly { period: None },
+            PolicySpec::Risk { max_risk: 0.1 },
+            PolicySpec::Crossover,
         ],
         models: vec![DistModel::Exponential, DistModel::Weibull { shape: 2.0 }],
         classes: vec![WorkflowClass::Genome, WorkflowClass::Montage],
@@ -129,7 +130,6 @@ fn csv_is_byte_identical_across_mc_thread_budgets() {
         let cfg = EngineConfig {
             threads: 2,
             mc_threads,
-            plan_threads: 1,
         };
         engine::run(&scenario, &cfg, &mut sink).unwrap();
         sink.csv
@@ -137,36 +137,6 @@ fn csv_is_byte_identical_across_mc_thread_budgets() {
     let baseline = csv_at(1);
     for mc_threads in [4, 0] {
         assert_eq!(baseline, csv_at(mc_threads), "mc_threads={mc_threads}");
-    }
-}
-
-#[test]
-fn csv_is_byte_identical_across_plan_thread_budgets() {
-    // ISSUE 7 acceptance bar: `plan_threads` is a pure speed knob.
-    // Parallel per-superchain placement claims superchains from an
-    // atomic counter, but each placement is a pure function of its own
-    // superchain and results land in canonical slots, so the plan — and
-    // therefore the CSV — is bit-identical for every budget. The figure
-    // scenario exercises all three strategies (CkptSome runs the DP per
-    // superchain) on multi-superchain Montage schedules.
-    let scenario = mini_figures();
-    let csv_at = |plan_threads: usize| {
-        let mut sink = StringSink::new();
-        let cfg = EngineConfig {
-            threads: 2,
-            mc_threads: 0,
-            plan_threads,
-        };
-        engine::run(&scenario, &cfg, &mut sink).unwrap();
-        sink.csv
-    };
-    let baseline = csv_at(1);
-    for plan_threads in [4, 0] {
-        assert_eq!(
-            baseline,
-            csv_at(plan_threads),
-            "plan_threads={plan_threads}"
-        );
     }
 }
 

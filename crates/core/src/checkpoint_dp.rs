@@ -60,8 +60,9 @@ pub struct CostCtx<'a> {
     /// Cached renewal curve for non-memoryless models (`None` falls back
     /// to direct quadrature; ignored — never consulted — for the
     /// exponential model, whose closed form short-circuits first).
-    /// `Pipeline` builds one per platform and threads it through every
-    /// cost path; see `DESIGN.md` §7.
+    /// The curve stage ([`crate::stage::curve_stage`]) builds one per
+    /// platform and callers thread it through every cost path; see
+    /// `DESIGN.md` §7.
     pub curve: Option<&'a RestartCurve>,
     /// Cooperative cancellation/deadline budget. `None` (every offline
     /// path) costs one branch per DP row; when present, the DP sweeps

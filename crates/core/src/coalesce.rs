@@ -55,8 +55,9 @@ pub struct SegmentGraph {
 }
 
 /// Aggregate placement statistics of a segment graph — derived in one
-/// place from the coalesced graph so every consumer (`Pipeline::assess`,
-/// the experiment scenarios, the E10 CSV) agrees on the counts.
+/// place from the coalesced graph so every consumer
+/// ([`crate::stage::assess_graph`], the what-if service, the E10 CSV)
+/// agrees on the counts.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlacementStats {
     /// Coalesced segments. Every segment ends in exactly one

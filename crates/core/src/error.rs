@@ -4,9 +4,10 @@
 //! crashing the process or by handing back a silently-wrong number:
 //! every way a stage can fail is named here, and the stage functions
 //! ([`crate::stage`]) plus the session/store API return [`PlanError`]
-//! instead of panicking. The offline experiment grids keep their
-//! fail-fast behavior by unwrapping at a single documented funnel
-//! (`Pipeline`), where inputs are valid by construction.
+//! instead of panicking — [`crate::stage::assess`] included. The
+//! offline experiment grids keep their fail-fast behavior by unwrapping
+//! those results at the call site, where inputs are valid by
+//! construction.
 //!
 //! The taxonomy is deliberately small — callers branch on *kind*, not
 //! on message text:

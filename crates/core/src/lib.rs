@@ -16,8 +16,8 @@
 //! * [`coalesce`] — §II-C: coalescing checkpoint-delimited segments into a
 //!   2-state probabilistic DAG evaluable by the `probdag` estimators;
 //! * [`evaluate`] — the three strategies of §VI (**CkptAll**, **CkptNone**
-//!   via Theorem 1, **CkptSome**) plus the naive exit-only ablation, behind
-//!   a single [`evaluate::Pipeline`];
+//!   via Theorem 1, **CkptSome**) plus the naive exit-only ablation,
+//!   assessed on one common schedule by [`stage::assess`];
 //! * [`pfail`] / [`platform`] — the `pfail ↔ λ` normalization and platform
 //!   model of §VI-A;
 //! * [`failure_model`] — the pluggable failure-distribution subsystem
@@ -38,19 +38,22 @@
 //! ## Quickstart
 //!
 //! ```
-//! use ckpt_core::allocate::AllocateConfig;
-//! use ckpt_core::evaluate::{Pipeline, Strategy};
-//! use ckpt_core::pfail::lambda_from_pfail;
-//! use ckpt_core::platform::Platform;
+//! use ckpt_core::stage::{assess, curve_stage, schedule_stage};
+//! use ckpt_core::{lambda_from_pfail, AllocateConfig, CostCtx, Platform, Strategy};
 //! use probdag::PathApprox;
 //!
+//! # fn main() -> ckpt_core::PlanResult<()> {
 //! let workflow = pegasus::generate(pegasus::WorkflowClass::Genome, 50, 42);
 //! let lambda = lambda_from_pfail(0.001, workflow.dag.mean_weight());
 //! let platform = Platform::new(5, lambda, 1e8);
-//! let pipe = Pipeline::new(&workflow, platform, &AllocateConfig::default());
-//! let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-//! let all = pipe.assess(Strategy::CkptAll, &PathApprox::default());
+//! let schedule = schedule_stage(&workflow, platform.n_procs, &AllocateConfig::default())?;
+//! let curve = curve_stage(&workflow.dag, &platform)?;
+//! let ctx = CostCtx::with_curve(&workflow.dag, platform.model, platform.bandwidth, curve.as_ref());
+//! let some = assess(&ctx, &schedule, Strategy::CkptSome, &PathApprox::default())?;
+//! let all = assess(&ctx, &schedule, Strategy::CkptAll, &PathApprox::default())?;
 //! assert!(some.expected_makespan <= all.expected_makespan * 1.02);
+//! # Ok(())
+//! # }
 //! ```
 
 pub mod allocate;
@@ -76,7 +79,7 @@ pub use checkpoint_dp::{
 };
 pub use coalesce::{coalesce, CheckpointPlan, PlacementStats, Segment, SegmentGraph};
 pub use error::{ErrorKind, PlanError, PlanResult};
-pub use evaluate::{theorem1, theorem1_model, Assessment, Pipeline, Strategy};
+pub use evaluate::{theorem1, theorem1_model, Assessment, Strategy};
 pub use failure_model::{FailureModel, RestartCurve};
 pub use fingerprint::{allocate_config_fp, model_fp, workflow_fp, WorkflowFp};
 pub use pfail::{lambda_from_pfail, pfail_from_lambda};

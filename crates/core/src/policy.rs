@@ -5,7 +5,7 @@
 //! enum. [`CheckpointPolicy`] opens that axis: a policy maps one
 //! superchain (plus the cost context — workflow, failure model,
 //! bandwidth, renewal curve) to per-task checkpoint decisions, and the
-//! whole pipeline (`Pipeline::{plan,segment_graph,assess}`, `coalesce`,
+//! whole pipeline (the placement stage, `coalesce`, `stage::assess`,
 //! the simulators, the experiment harness) consumes the resulting
 //! [`CheckpointPlan`] without knowing which policy produced it.
 //!
@@ -286,7 +286,7 @@ impl CheckpointPolicy for DpOptimalPolicy {
 /// the exponential model, and otherwise the rate an exponential model
 /// would need to reproduce the renewal solve's first-order overhead on
 /// the candidate span, `λ_eff(b) = 2·(E[T(b)] − b)/b²` (answered from
-/// the pipeline's [`crate::failure_model::RestartCurve`] when one is
+/// the cost context's [`crate::failure_model::RestartCurve`] when one is
 /// attached), fixed-point iterated `period ↦ sqrt(2·C̄/λ_eff(period))` a
 /// fixed number of rounds so the result stays a pure function of
 /// `(model, chain)`.

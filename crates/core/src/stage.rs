@@ -1,14 +1,15 @@
 //! The planning pipeline as an explicit stage graph.
 //!
-//! [`crate::evaluate::Pipeline`] used to be a monolith: every query
-//! re-ran schedule → curve → placement → coalesce → evaluate from
-//! scratch. This module names each step as a **pure stage function** —
-//! a deterministic map from its inputs to one artifact — so that a
-//! caller holding content fingerprints of the inputs
-//! ([`crate::fingerprint`]) can cache artifacts and re-execute only the
-//! stages a change actually touches. `Pipeline` itself now routes
-//! through these functions (bit-identical to the old monolith), and the
-//! `ckpt_service` crate builds its incremental sessions on top.
+//! Each step of schedule → curve → placement → coalesce → evaluate is
+//! a **pure stage function** — a deterministic map from its inputs to
+//! one artifact — so that a caller holding content fingerprints of the
+//! inputs ([`crate::fingerprint`]) can cache artifacts and re-execute
+//! only the stages a change actually touches. The `ckpt_service` crate
+//! builds its incremental sessions on top; one-shot callers (the grid
+//! engine, the examples, the tests) compose them directly, with
+//! [`assess`] as the one fallible composition from a cost context and a
+//! schedule to an [`Assessment`] of one strategy (see the crate-level
+//! quickstart).
 //!
 //! The stage graph (downstream depends on upstream):
 //!
@@ -45,6 +46,7 @@ use crate::allocate::{allocate, AllocateConfig};
 use crate::checkpoint_dp::CostCtx;
 use crate::coalesce::{coalesce, CheckpointPlan, SegmentGraph};
 use crate::error::{require_positive, PlanError, PlanResult};
+use crate::evaluate::{theorem1_model, Assessment, Strategy};
 use crate::failure_model::RestartCurve;
 use crate::platform::Platform;
 use crate::policy::{plan_with_policy_threads, CheckpointPolicy, PolicyScratch};
@@ -330,14 +332,106 @@ pub fn evaluate_stage(sg: &SegmentGraph, evaluator: &dyn Evaluator) -> PlanResul
     })
 }
 
+/// Placement then coalescing on one thread: the segment graph `policy`
+/// induces on `schedule`.
+pub fn segment_graph_for(
+    ctx: &CostCtx<'_>,
+    schedule: &Schedule,
+    policy: &dyn CheckpointPolicy,
+) -> PlanResult<SegmentGraph> {
+    let plan = placement_stage(ctx, schedule, policy, &mut PolicyScratch::new(), 1)?;
+    segment_graph_stage(ctx, schedule, &plan)
+}
+
+/// The [`Assessment`] of an already-built segment graph, labelled
+/// `policy`: its expected makespan under `evaluator` plus the placement
+/// census — the shared path when one graph serves both an analytic and
+/// a simulated column.
+pub fn assess_graph(
+    dag: &Dag,
+    schedule: &Schedule,
+    policy: &'static str,
+    sg: &SegmentGraph,
+    evaluator: &dyn Evaluator,
+) -> PlanResult<Assessment> {
+    let w_par = schedule.failure_free_parallel_time(dag);
+    let stats = sg.placement_stats(dag);
+    Ok(Assessment {
+        policy,
+        expected_makespan: evaluate_stage(sg, evaluator)?,
+        n_checkpoints: stats.segments,
+        n_segments: stats.segments,
+        ckpt_files: stats.ckpt_files,
+        ckpt_bytes: stats.ckpt_bytes,
+        w_par,
+    })
+}
+
+/// Assesses `strategy` on `schedule` under `ctx` — how the paper
+/// compares the strategies on one common schedule. CkptNone is the
+/// Theorem 1 closed form on the schedule's processors (charged to
+/// [`StageId::EvalAnalytic`]; `evaluator` is unused); every other
+/// strategy runs [`segment_graph_for`] and then [`assess_graph`].
+pub fn assess(
+    ctx: &CostCtx<'_>,
+    schedule: &Schedule,
+    strategy: Strategy,
+    evaluator: &dyn Evaluator,
+) -> PlanResult<Assessment> {
+    let Some(policy) = strategy.policy() else {
+        return Ok(charged(StageId::EvalAnalytic, || {
+            let w_par = schedule.failure_free_parallel_time(ctx.dag);
+            Assessment {
+                policy: strategy.name(),
+                expected_makespan: theorem1_model(w_par, schedule.n_procs, &ctx.model),
+                n_checkpoints: 0,
+                n_segments: 0,
+                ckpt_files: 0,
+                ckpt_bytes: 0.0,
+                w_par,
+            }
+        }));
+    };
+    let sg = segment_graph_for(ctx, schedule, policy)?;
+    assess_graph(ctx.dag, schedule, policy.name(), &sg, evaluator)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::{Pipeline, Strategy};
+    use crate::failure_model::FailureModel;
     use crate::pfail::lambda_from_pfail;
     use crate::policy::DpOptimalPolicy;
+    use pegasus::ccr::scale_to_ccr;
     use pegasus::{generate, WorkflowClass};
     use probdag::PathApprox;
+
+    /// Schedules `w` on `platform` under `cfg` and hands `f` the cost
+    /// context (with the platform's renewal curve) and the schedule.
+    fn with_plan<R>(
+        w: &Workflow,
+        platform: Platform,
+        cfg: &AllocateConfig,
+        f: impl FnOnce(&CostCtx<'_>, &Schedule) -> R,
+    ) -> R {
+        let schedule = schedule_stage(w, platform.n_procs, cfg).unwrap();
+        let curve = curve_stage(&w.dag, &platform).unwrap();
+        let ctx = CostCtx::with_curve(&w.dag, platform.model, platform.bandwidth, curve.as_ref());
+        f(&ctx, &schedule)
+    }
+
+    fn platform(w: &Workflow, n_procs: usize, pfail: f64, bw: f64) -> Platform {
+        Platform::new(n_procs, lambda_from_pfail(pfail, w.dag.mean_weight()), bw)
+    }
+
+    fn assessed(ctx: &CostCtx<'_>, schedule: &Schedule, strategy: Strategy) -> Assessment {
+        assess(ctx, schedule, strategy, &PathApprox::default()).unwrap()
+    }
+
+    fn plan(ctx: &CostCtx<'_>, schedule: &Schedule, strategy: Strategy) -> CheckpointPlan {
+        let policy = strategy.policy().unwrap();
+        placement_stage(ctx, schedule, policy, &mut PolicyScratch::new(), 1).unwrap()
+    }
 
     #[test]
     fn stage_ids_are_distinct_and_ordered() {
@@ -349,36 +443,251 @@ mod tests {
     }
 
     #[test]
-    fn stage_functions_compose_to_the_pipeline() {
-        // Running the stage functions by hand reproduces the Pipeline
-        // monolith bit for bit — the refactor is a pure factoring.
+    fn assess_composes_the_stage_functions() {
+        // Running the stage functions by hand reproduces `assess` bit
+        // for bit: it is a pure composition.
         let w = generate(WorkflowClass::Montage, 50, 11);
-        let lambda = lambda_from_pfail(0.001, w.dag.mean_weight());
-        let platform = Platform::new(5, lambda, 1e8);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
+        let p = platform(&w, 5, 0.001, 1e8);
+        with_plan(&w, p, &AllocateConfig::default(), |ctx, schedule| {
+            let plan = placement_stage(
+                ctx,
+                schedule,
+                &DpOptimalPolicy,
+                &mut PolicyScratch::new(),
+                1,
+            )
+            .unwrap();
+            let sg = segment_graph_stage(ctx, schedule, &plan).unwrap();
+            let by_hand = evaluate_stage(&sg, &PathApprox::default()).unwrap();
+            let assessed = assessed(ctx, schedule, Strategy::CkptSome);
+            assert_eq!(by_hand.to_bits(), assessed.expected_makespan.to_bits());
+            assert_eq!(assessed.policy, "CkptSome");
+            assert_eq!(assessed.n_segments, plan.n_checkpoints());
+            let graph = segment_graph_for(ctx, schedule, &DpOptimalPolicy).unwrap();
+            let via_graph =
+                assess_graph(&w.dag, schedule, "CkptSome", &graph, &PathApprox::default()).unwrap();
+            assert_eq!(via_graph.expected_makespan.to_bits(), by_hand.to_bits());
+            assert_eq!(
+                via_graph.ckpt_bytes.to_bits(),
+                assessed.ckpt_bytes.to_bits()
+            );
+        });
+    }
 
-        let schedule = schedule_stage(&w, platform.n_procs, &AllocateConfig::default()).unwrap();
-        let curve = curve_stage(&w.dag, &platform).unwrap();
-        let ctx = CostCtx {
-            dag: &w.dag,
-            model: platform.model,
-            bandwidth: platform.bandwidth,
-            curve: curve.as_ref(),
-            budget: None,
-        };
-        let plan = placement_stage(
-            &ctx,
-            &schedule,
-            &DpOptimalPolicy,
-            &mut PolicyScratch::new(),
-            1,
-        )
-        .unwrap();
-        assert_eq!(plan, pipe.plan(Strategy::CkptSome));
-        let sg = segment_graph_stage(&ctx, &schedule, &plan).unwrap();
-        let em = evaluate_stage(&sg, &PathApprox::default()).unwrap();
-        let assessed = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-        assert_eq!(em.to_bits(), assessed.expected_makespan.to_bits());
+    #[test]
+    fn assess_reports_a_non_finite_makespan_as_numeric() {
+        // Storage so slow that one file's read time overflows: the
+        // error surfaces typed, from the evaluate stage, not as a panic.
+        let w = generate(WorkflowClass::Genome, 50, 1);
+        let schedule = schedule_stage(&w, 5, &AllocateConfig::default()).unwrap();
+        let ctx = CostCtx::exponential(&w.dag, 1e-3, f64::MIN_POSITIVE);
+        for strategy in [Strategy::CkptSome, Strategy::CkptAll] {
+            let err = assess(&ctx, &schedule, strategy, &PathApprox::default()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PlanError::Numeric {
+                        stage: StageId::EvalAnalytic,
+                        ..
+                    }
+                ),
+                "{strategy}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn assess_ckptnone_is_theorem1_on_the_schedule() {
+        let w = generate(WorkflowClass::Ligo, 50, 2);
+        let wearout = FailureModel::weibull_from_pfail(2.0, 0.01, w.dag.mean_weight());
+        for p in [
+            platform(&w, 7, 0.01, 1e8),
+            Platform::with_model(7, wearout, 1e8),
+        ] {
+            with_plan(&w, p, &AllocateConfig::default(), |ctx, schedule| {
+                let none = assessed(ctx, schedule, Strategy::CkptNone);
+                let w_par = schedule.failure_free_parallel_time(&w.dag);
+                let want = theorem1_model(w_par, 7, &p.model);
+                assert_eq!(none.expected_makespan.to_bits(), want.to_bits());
+                assert_eq!(none.w_par.to_bits(), w_par.to_bits());
+                assert_eq!(none.policy, "CkptNone");
+                assert_eq!((none.n_checkpoints, none.n_segments), (0, 0));
+            });
+        }
+    }
+
+    #[test]
+    fn non_memoryless_assess_end_to_end() {
+        // A Weibull platform: the DP runs on the quadrature cost path
+        // and CkptSome still dominates CkptAll.
+        let mut w = generate(WorkflowClass::Genome, 50, 5);
+        let bw = 1e7;
+        scale_to_ccr(&mut w, 0.01, bw);
+        let model = FailureModel::weibull_from_pfail(0.7, 0.01, w.dag.mean_weight());
+        let p = Platform::with_model(5, model, bw);
+        with_plan(&w, p, &AllocateConfig::default(), |ctx, schedule| {
+            assert!(ctx.curve.is_some());
+            let some = assessed(ctx, schedule, Strategy::CkptSome);
+            let all = assessed(ctx, schedule, Strategy::CkptAll);
+            let none = assessed(ctx, schedule, Strategy::CkptNone);
+            assert!(some.expected_makespan > 0.0 && none.expected_makespan > 0.0);
+            assert!(
+                some.expected_makespan <= all.expected_makespan * 1.02,
+                "some {} vs all {}",
+                some.expected_makespan,
+                all.expected_makespan
+            );
+            assert!(some.n_checkpoints <= all.n_checkpoints);
+        });
+    }
+
+    #[test]
+    fn ckptsome_never_worse_than_ckptall() {
+        // The DP contains CkptAll's solution (checkpoint everywhere) in
+        // its search space, so segment-DAG expected makespans should obey
+        // CkptSome ≤ CkptAll up to evaluator noise.
+        for class in WorkflowClass::ALL {
+            let mut w = generate(class, 50, 5);
+            let bw = 1e7;
+            scale_to_ccr(&mut w, 0.01, bw);
+            let p = platform(&w, 5, 0.001, bw);
+            with_plan(&w, p, &AllocateConfig::default(), |ctx, schedule| {
+                let some = assessed(ctx, schedule, Strategy::CkptSome);
+                let all = assessed(ctx, schedule, Strategy::CkptAll);
+                assert!(
+                    some.expected_makespan <= all.expected_makespan * 1.02,
+                    "{class}: some {} vs all {}",
+                    some.expected_makespan,
+                    all.expected_makespan
+                );
+                assert!(some.n_checkpoints <= all.n_checkpoints);
+            });
+        }
+    }
+
+    #[test]
+    fn cheap_checkpoints_make_ckptsome_equal_ckptall() {
+        // §VI-C: as the CCR → 0, CkptSome checkpoints every task. The
+        // crossover is where interface I/O (write + later read) matches
+        // the re-execution gain λ·b1·b2 — for sub-second Genome tasks at
+        // pfail = 0.01 that is around CCR ~ 1e-6, so 1e-9 is firmly in the
+        // checkpoint-everything regime.
+        let mut w = generate(WorkflowClass::Genome, 50, 3);
+        let bw = 1e7;
+        scale_to_ccr(&mut w, 1e-9, bw);
+        let p = platform(&w, 5, 0.01, bw);
+        with_plan(&w, p, &AllocateConfig::default(), |ctx, schedule| {
+            let some = plan(ctx, schedule, Strategy::CkptSome);
+            assert_eq!(some.n_checkpoints(), w.n_tasks());
+        });
+    }
+
+    #[test]
+    fn expensive_checkpoints_reduce_to_exits() {
+        // Very expensive storage + rare failures: only superchain exits
+        // remain checkpointed.
+        let mut w = generate(WorkflowClass::Genome, 50, 3);
+        let bw = 1e7;
+        scale_to_ccr(&mut w, 10.0, bw);
+        let p = platform(&w, 5, 0.0001, bw);
+        with_plan(&w, p, &AllocateConfig::default(), |ctx, schedule| {
+            let some = plan(ctx, schedule, Strategy::CkptSome);
+            let exits = plan(ctx, schedule, Strategy::ExitOnly);
+            assert_eq!(some, exits);
+        });
+    }
+
+    #[test]
+    fn exitonly_bounds_ckptsome_from_search_space() {
+        let mut w = generate(WorkflowClass::Ligo, 50, 4);
+        let bw = 1e7;
+        scale_to_ccr(&mut w, 0.1, bw);
+        let p = platform(&w, 5, 0.001, bw);
+        with_plan(&w, p, &AllocateConfig::default(), |ctx, schedule| {
+            let some = assessed(ctx, schedule, Strategy::CkptSome);
+            let exit = assessed(ctx, schedule, Strategy::ExitOnly);
+            assert!(some.expected_makespan <= exit.expected_makespan * 1.02);
+        });
+    }
+
+    #[test]
+    fn assess_reuses_a_ccr_invariant_schedule() {
+        // RandomTopo scheduling never reads file sizes, so the schedule of
+        // the unscaled instance drives a rescaled clone to bit-identical
+        // assessments.
+        let base = generate(WorkflowClass::Montage, 50, 9);
+        let cfg = AllocateConfig::default();
+        let mut scaled = base.clone();
+        let bw = 1e7;
+        scale_to_ccr(&mut scaled, 0.05, bw);
+        let p = platform(&scaled, 5, 0.001, bw);
+        let cached = allocate(&base, p.n_procs, &cfg);
+        with_plan(&scaled, p, &cfg, |ctx, from_scratch| {
+            for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::ExitOnly] {
+                let a = assessed(ctx, from_scratch, strategy);
+                let b = assessed(ctx, &cached, strategy);
+                assert_eq!(
+                    a.expected_makespan.to_bits(),
+                    b.expected_makespan.to_bits(),
+                    "{strategy}"
+                );
+                assert_eq!(a.n_checkpoints, b.n_checkpoints);
+            }
+        });
+    }
+
+    #[test]
+    fn assessments_report_consistent_counts() {
+        let w = generate(WorkflowClass::Montage, 50, 6);
+        let p = platform(&w, 5, 0.001, 1e7);
+        with_plan(&w, p, &AllocateConfig::default(), |ctx, schedule| {
+            let all = assessed(ctx, schedule, Strategy::CkptAll);
+            assert_eq!(all.n_checkpoints, w.n_tasks());
+            assert_eq!(all.n_segments, w.n_tasks());
+            let none = assessed(ctx, schedule, Strategy::CkptNone);
+            assert_eq!(none.n_checkpoints, 0);
+            assert!(none.w_par > 0.0);
+        });
+    }
+
+    #[test]
+    fn ckptnone_beats_ckptall_when_io_dominates_and_failures_rare() {
+        // §VI-C: CkptNone wins when checkpoints are expensive and failures
+        // rare.
+        let mut w = generate(WorkflowClass::Montage, 50, 7);
+        let bw = 1e7;
+        scale_to_ccr(&mut w, 1.0, bw);
+        let p = platform(&w, 5, 0.0001, bw);
+        with_plan(&w, p, &AllocateConfig::default(), |ctx, schedule| {
+            let none = assessed(ctx, schedule, Strategy::CkptNone);
+            let all = assessed(ctx, schedule, Strategy::CkptAll);
+            assert!(
+                none.expected_makespan < all.expected_makespan,
+                "none {} vs all {}",
+                none.expected_makespan,
+                all.expected_makespan
+            );
+        });
+    }
+
+    #[test]
+    fn ckptsome_beats_ckptnone_under_frequent_failures() {
+        // §VI-C: CkptNone loses when failures are frequent and
+        // checkpoints cheap.
+        let mut w = generate(WorkflowClass::Genome, 300, 8);
+        let bw = 1e7;
+        scale_to_ccr(&mut w, 1e-4, bw);
+        let p = platform(&w, 18, 0.01, bw);
+        with_plan(&w, p, &AllocateConfig::default(), |ctx, schedule| {
+            let none = assessed(ctx, schedule, Strategy::CkptNone);
+            let some = assessed(ctx, schedule, Strategy::CkptSome);
+            assert!(
+                some.expected_makespan < none.expected_makespan,
+                "some {} vs none {}",
+                some.expected_makespan,
+                none.expected_makespan
+            );
+        });
     }
 
     // The histograms are process-global and only ever grow within this

@@ -9,9 +9,10 @@ use ckpt_core::policy::{
     placement_expected_time, CheckpointPolicy, CkptAllPolicy, DalyPeriodic, DpOptimalPolicy,
     ExitOnlyPolicy, GreedyCrossover, PolicyScratch, RiskThreshold,
 };
+use ckpt_core::stage::{curve_stage, placement_stage, schedule_stage, segment_graph_for};
 use ckpt_core::{
     allocate, coalesce, optimal_checkpoints, AllocateConfig, CheckpointPlan, CostCtx, FailureModel,
-    Pipeline, Platform, SegmentCostScratch, SegmentGraph, Strategy,
+    Platform, Schedule, SegmentCostScratch, SegmentGraph, Strategy,
 };
 use mspg::gen::{random_workflow, GenConfig};
 use mspg::linearize::Linearizer;
@@ -27,6 +28,16 @@ fn wf(n: usize, seed: u64) -> Workflow {
         size_range: (1.0, 5e7),
         seed,
     })
+}
+
+/// The single-threaded placement stage.
+fn place(
+    ctx: &CostCtx<'_>,
+    schedule: &Schedule,
+    policy: &dyn CheckpointPolicy,
+    scratch: &mut PolicyScratch,
+) -> CheckpointPlan {
+    placement_stage(ctx, schedule, policy, scratch, 1).unwrap()
 }
 
 /// Every builtin policy, boxed (default knobs).
@@ -179,17 +190,19 @@ proptest! {
         };
         let platform = Platform::with_model(p, model, 1e7);
         let cfg = AllocateConfig { linearizer: Linearizer::RandomTopo, seed };
-        let pipe = Pipeline::new(&w, platform, &cfg);
+        let schedule = schedule_stage(&w, p, &cfg).unwrap();
+        let curve = curve_stage(&w.dag, &platform).unwrap();
+        let ctx = CostCtx::with_curve(&w.dag, model, 1e7, curve.as_ref());
         for policy in builtin_policies() {
-            let plan = pipe.plan_policy(policy.as_ref());
+            let plan = place(&ctx, &schedule, policy.as_ref(), &mut PolicyScratch::new());
             prop_assert_eq!(plan.ckpt_after.len(), n);
-            for sc in &pipe.schedule.superchains {
+            for sc in &schedule.superchains {
                 prop_assert!(
                     plan.ckpt_after[sc.tasks.last().unwrap().index()],
                     "{}: superchain exit not checkpointed", policy.name()
                 );
             }
-            let sg = pipe.segment_graph_policy(policy.as_ref());
+            let sg = segment_graph_for(&ctx, &schedule, policy.as_ref()).unwrap();
             prop_assert_eq!(sg.segments.len(), plan.n_checkpoints());
             // Acyclic (topo_order panics on cycles) and a full cover.
             let order = sg.pdag.topo_order();
@@ -220,12 +233,11 @@ fn legacy_strategies_are_bitwise_identical_to_pre_refactor_graphs() {
         for seed in [1u64, 7] {
             let w = pegasus::generate(class, 50, seed);
             let lambda = ckpt_core::lambda_from_pfail(0.001, w.dag.mean_weight());
-            let platform = Platform::new(5, lambda, 1e7);
             let cfg = AllocateConfig {
                 linearizer: Linearizer::RandomTopo,
                 seed,
             };
-            let pipe = Pipeline::new(&w, platform, &cfg);
+            let schedule = schedule_stage(&w, 5, &cfg).unwrap();
             let ctx = CostCtx::exponential(&w.dag, lambda, 1e7);
             // Pre-refactor constructions of the three placements.
             let all = CheckpointPlan {
@@ -237,7 +249,7 @@ fn legacy_strategies_are_bitwise_identical_to_pre_refactor_graphs() {
             let mut some = CheckpointPlan {
                 ckpt_after: vec![false; w.dag.n_tasks()],
             };
-            for sc in &pipe.schedule.superchains {
+            for sc in &schedule.superchains {
                 exit.ckpt_after[sc.tasks.last().unwrap().index()] = true;
                 let choice = optimal_checkpoints(&ctx, &sc.tasks);
                 for (k, &t) in sc.tasks.iter().enumerate() {
@@ -249,13 +261,14 @@ fn legacy_strategies_are_bitwise_identical_to_pre_refactor_graphs() {
                 (Strategy::ExitOnly, &exit),
                 (Strategy::CkptSome, &some),
             ] {
+                let policy = strategy.policy().unwrap();
                 assert_eq!(
-                    &pipe.plan(strategy),
+                    &place(&ctx, &schedule, policy, &mut PolicyScratch::new()),
                     reference,
                     "{class} seed {seed}: {strategy} plan"
                 );
-                let via_policy = pipe.segment_graph(strategy);
-                let pre_refactor = coalesce(&ctx, &pipe.schedule, reference).unwrap();
+                let via_policy = segment_graph_for(&ctx, &schedule, policy).unwrap();
+                let pre_refactor = coalesce(&ctx, &schedule, reference).unwrap();
                 assert_segment_graphs_bitwise_eq(
                     &via_policy,
                     &pre_refactor,
@@ -266,20 +279,20 @@ fn legacy_strategies_are_bitwise_identical_to_pre_refactor_graphs() {
     }
 }
 
-/// `plan_with_policy` and `Pipeline::plan_policy_reusing` agree with
-/// the one-shot path when a scratch is reused across many plans (the
-/// steady-state loop of the E10 scenario and the policy bench).
+/// The placement stage agrees with the one-shot path when a scratch is
+/// reused across many plans (the steady-state loop of the policy
+/// bench).
 #[test]
 fn reused_policy_scratch_is_bitwise_identical_to_fresh() {
     let w = pegasus::generate(pegasus::WorkflowClass::Montage, 120, 3);
     let lambda = ckpt_core::lambda_from_pfail(0.01, w.dag.mean_weight());
-    let platform = Platform::new(18, lambda, 1e7);
-    let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
+    let schedule = schedule_stage(&w, 18, &AllocateConfig::default()).unwrap();
+    let ctx = CostCtx::exponential(&w.dag, lambda, 1e7);
     let mut scratch = PolicyScratch::new();
     for _ in 0..2 {
         for policy in builtin_policies() {
-            let reused = pipe.plan_policy_reusing(policy.as_ref(), &mut scratch);
-            let fresh = pipe.plan_policy(policy.as_ref());
+            let reused = place(&ctx, &schedule, policy.as_ref(), &mut scratch);
+            let fresh = place(&ctx, &schedule, policy.as_ref(), &mut PolicyScratch::new());
             assert_eq!(reused, fresh, "{}", policy.name());
         }
     }

@@ -2,9 +2,10 @@
 
 use std::collections::BTreeSet;
 
+use ckpt_core::stage::{assess, curve_stage, placement_stage, schedule_stage, segment_graph_stage};
 use ckpt_core::{
     allocate, coalesce, optimal_checkpoints, segment_cost, AllocateConfig, CheckpointPlan, CostCtx,
-    FailureModel, Pipeline, Platform, RestartCurve, Strategy,
+    DpOptimalPolicy, FailureModel, Platform, PolicyScratch, RestartCurve, Strategy,
 };
 use mspg::gen::{random_workflow, GenConfig};
 use mspg::linearize::Linearizer;
@@ -128,10 +129,11 @@ proptest! {
     fn strategy_dominance(n in 2usize..80, p in 1usize..8, seed: u64) {
         let w = wf(n, seed);
         let lambda = ckpt_core::lambda_from_pfail(0.001, w.dag.mean_weight());
-        let platform = Platform::new(p, lambda, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig { linearizer: Linearizer::RandomTopo, seed });
-        let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-        let exit = pipe.assess(Strategy::ExitOnly, &PathApprox::default());
+        let cfg = AllocateConfig { linearizer: Linearizer::RandomTopo, seed };
+        let schedule = schedule_stage(&w, p, &cfg).unwrap();
+        let ctx = CostCtx::exponential(&w.dag, lambda, 1e7);
+        let some = assess(&ctx, &schedule, Strategy::CkptSome, &PathApprox::default()).unwrap();
+        let exit = assess(&ctx, &schedule, Strategy::ExitOnly, &PathApprox::default()).unwrap();
         prop_assert!(
             some.expected_makespan <= exit.expected_makespan * 1.03,
             "some {} vs exit {}", some.expected_makespan, exit.expected_makespan
@@ -247,14 +249,16 @@ proptest! {
         };
         let platform = Platform::with_model(p, model, 1e7);
         let cfg = AllocateConfig { linearizer: Linearizer::RandomTopo, seed };
-        let pipe = Pipeline::new(&w, platform, &cfg);
-        prop_assert!(pipe.restart_curve().is_some());
+        let schedule = schedule_stage(&w, p, &cfg).unwrap();
+        let curve = curve_stage(&w.dag, &platform).unwrap();
+        prop_assert!(curve.is_some());
+        let ctx = CostCtx::with_curve(&w.dag, model, 1e7, curve.as_ref());
         // Direct-quadrature reference: the same schedule, costs through
         // CostCtx::with_model (no curve).
         let direct_ctx = CostCtx::with_model(&w.dag, model, 1e7);
-        let plan = pipe.plan(Strategy::CkptSome);
-        let sg_curve = pipe.segment_graph(Strategy::CkptSome);
-        let sg_direct = coalesce(&direct_ctx, &pipe.schedule, &plan).unwrap();
+        let plan = placement_stage(&ctx, &schedule, &DpOptimalPolicy, &mut PolicyScratch::new(), 1).unwrap();
+        let sg_curve = segment_graph_stage(&ctx, &schedule, &plan).unwrap();
+        let sg_direct = coalesce(&direct_ctx, &schedule, &plan).unwrap();
         prop_assert_eq!(sg_curve.segments.len(), sg_direct.segments.len());
         let ev = PathApprox::default();
         let em_curve = ev.expected_makespan(&sg_curve.pdag);

@@ -11,7 +11,8 @@
 //! structure or its edge order. That is a behaviour change, not a
 //! refactor: find the cause rather than re-recording the digest.
 
-use ckpt_core::{lambda_from_pfail, AllocateConfig, Pipeline, Platform, SegmentGraph, Strategy};
+use ckpt_core::stage::{schedule_stage, segment_graph_for};
+use ckpt_core::{lambda_from_pfail, AllocateConfig, CostCtx, SegmentGraph, Strategy};
 use pegasus::{generate, WorkflowClass};
 use seedmix::digest::Fnv1a;
 
@@ -36,12 +37,10 @@ fn structure_digest(sg: &SegmentGraph) -> u64 {
 fn assert_pinned(class: WorkflowClass, n: usize, procs: usize, strategy: Strategy, want: u64) {
     let w = generate(class, n, 1);
     let lambda = lambda_from_pfail(1e-3, w.dag.mean_weight());
-    let pipe = Pipeline::new(
-        &w,
-        Platform::new(procs, lambda, 1e7),
-        &AllocateConfig::default(),
-    );
-    let got = structure_digest(&pipe.segment_graph(strategy));
+    let schedule = schedule_stage(&w, procs, &AllocateConfig::default()).unwrap();
+    let ctx = CostCtx::exponential(&w.dag, lambda, 1e7);
+    let sg = segment_graph_for(&ctx, &schedule, strategy.policy().unwrap()).unwrap();
+    let got = structure_digest(&sg);
     assert_eq!(
         want, got,
         "{class:?}-{n} {strategy}: structure digest {got:#018x}, pinned {want:#018x}"

@@ -504,16 +504,29 @@ fn aggregate_censored(runs: &[ExecStats], tail_at: usize) -> NoneMcStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ckpt_core::{allocate, AllocateConfig, Pipeline, Platform, Strategy};
+    use ckpt_core::stage::{evaluate_stage, schedule_stage, segment_graph_for};
+    use ckpt_core::{allocate, AllocateConfig, CkptAllPolicy, CostCtx, DpOptimalPolicy, Schedule};
+
+    /// `w` scheduled on `n_procs` processors with the default
+    /// `Allocate`, and the segment graph `policy` induces on it.
+    fn planned(
+        w: &mspg::Workflow,
+        n_procs: usize,
+        lambda: f64,
+        policy: &dyn ckpt_core::CheckpointPolicy,
+    ) -> (Schedule, SegmentGraph) {
+        let schedule = schedule_stage(w, n_procs, &AllocateConfig::default()).unwrap();
+        let ctx = CostCtx::exponential(&w.dag, lambda, 1e7);
+        let sg = segment_graph_for(&ctx, &schedule, policy).unwrap();
+        (schedule, sg)
+    }
     use pegasus::{generate, WorkflowClass};
 
     #[test]
     fn abortable_mc_matches_plain_when_never_aborted_and_yields_none_when_tripped() {
         let w = generate(WorkflowClass::Genome, 30, 4);
         let lambda = ckpt_core::lambda_from_pfail(0.01, w.dag.mean_weight());
-        let platform = Platform::new(4, lambda, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let (_, sg) = planned(&w, 4, lambda, &DpOptimalPolicy);
         let model = ckpt_core::FailureModel::exponential(lambda);
         for threads in [1usize, 2, 7] {
             let cfg = SimConfig {
@@ -544,9 +557,7 @@ mod tests {
         // few standard errors plus the O(λ²) model error.
         let w = generate(WorkflowClass::Genome, 50, 2);
         let lambda = ckpt_core::lambda_from_pfail(0.001, w.dag.mean_weight());
-        let platform = Platform::new(5, lambda, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let (_, sg) = planned(&w, 5, lambda, &DpOptimalPolicy);
         let mc = montecarlo_segments(
             &sg,
             lambda,
@@ -555,9 +566,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let pa = pipe
-            .assess(Strategy::CkptSome, &probdag::PathApprox::default())
-            .expected_makespan;
+        let pa = evaluate_stage(&sg, &probdag::PathApprox::default()).unwrap();
         let tol = 5.0 * mc.stderr + 0.01 * pa;
         assert!(
             (mc.mean_makespan - pa).abs() < tol,
@@ -711,9 +720,7 @@ mod tests {
     fn deterministic_for_fixed_seed_and_threads() {
         let w = generate(WorkflowClass::Ligo, 50, 5);
         let lambda = ckpt_core::lambda_from_pfail(0.001, w.dag.mean_weight());
-        let platform = Platform::new(3, lambda, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let sg = pipe.segment_graph(Strategy::CkptAll);
+        let (_, sg) = planned(&w, 3, lambda, &CkptAllPolicy);
         let cfg = SimConfig {
             runs: 500,
             seed: 11,
@@ -732,9 +739,7 @@ mod tests {
         // (seed, runs) — the thread budget only changes wall-clock.
         let w = generate(WorkflowClass::Genome, 50, 3);
         let lambda = ckpt_core::lambda_from_pfail(0.01, w.dag.mean_weight());
-        let platform = Platform::new(5, lambda, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let (schedule, sg) = planned(&w, 5, lambda, &DpOptimalPolicy);
         let cfg = |threads| SimConfig {
             runs: 200,
             seed: 77,
@@ -743,14 +748,14 @@ mod tests {
             ..Default::default()
         };
         let seg1 = montecarlo_segments(&sg, lambda, &cfg(1));
-        let none1 = montecarlo_none(&w.dag, &pipe.schedule, lambda, &cfg(1));
+        let none1 = montecarlo_none(&w.dag, &schedule, lambda, &cfg(1));
         for threads in [2, 3, 7, 16] {
             let seg = montecarlo_segments(&sg, lambda, &cfg(threads));
             assert_eq!(seg1.mean_makespan.to_bits(), seg.mean_makespan.to_bits());
             assert_eq!(seg1.stderr.to_bits(), seg.stderr.to_bits());
             assert_eq!(seg1.mean_failures.to_bits(), seg.mean_failures.to_bits());
             assert_eq!(seg1.mean_wasted.to_bits(), seg.mean_wasted.to_bits());
-            let none = montecarlo_none(&w.dag, &pipe.schedule, lambda, &cfg(threads));
+            let none = montecarlo_none(&w.dag, &schedule, lambda, &cfg(threads));
             assert_eq!(
                 none1.stats.mean_makespan.to_bits(),
                 none.stats.mean_makespan.to_bits()

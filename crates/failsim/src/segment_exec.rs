@@ -94,15 +94,16 @@ fn sample_duration(base: f64, downtime: f64, src: &mut ModelSampler, stats: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ckpt_core::{AllocateConfig, Pipeline, Platform, Strategy};
+    use ckpt_core::stage::{schedule_stage, segment_graph_for};
+    use ckpt_core::{AllocateConfig, CostCtx, DpOptimalPolicy};
     use pegasus::{generate, WorkflowClass};
 
     fn segment_graph(pfail: f64, n_procs: usize) -> SegmentGraph {
         let w = generate(WorkflowClass::Genome, 50, 1);
         let lambda = ckpt_core::lambda_from_pfail(pfail, w.dag.mean_weight());
-        let platform = Platform::new(n_procs, lambda, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        pipe.segment_graph(Strategy::CkptSome)
+        let schedule = schedule_stage(&w, n_procs, &AllocateConfig::default()).unwrap();
+        let ctx = CostCtx::exponential(&w.dag, lambda, 1e7);
+        segment_graph_for(&ctx, &schedule, &DpOptimalPolicy).unwrap()
     }
 
     #[test]

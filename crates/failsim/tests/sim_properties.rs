@@ -1,7 +1,12 @@
 //! Property-based tests for the discrete-event simulators.
 
-use ckpt_core::policy::{CheckpointPolicy, DalyPeriodic, GreedyCrossover, RiskThreshold};
-use ckpt_core::{allocate, AllocateConfig, CostCtx, FailureModel, Pipeline, Platform, Strategy};
+use ckpt_core::policy::{
+    CheckpointPolicy, CkptAllPolicy, DalyPeriodic, DpOptimalPolicy, GreedyCrossover, RiskThreshold,
+};
+use ckpt_core::stage::{curve_stage, schedule_stage, segment_graph_for};
+use ckpt_core::{
+    allocate, AllocateConfig, CostCtx, FailureModel, Platform, Schedule, SegmentGraph,
+};
 use failsim::{
     montecarlo_segments_model, simulate_none, simulate_none_reference, simulate_segments,
     simulate_segments_model, ExpFailures, ModelFailures, SimConfig, TraceFailures,
@@ -19,6 +24,25 @@ fn wf(n: usize, seed: u64) -> mspg::Workflow {
     })
 }
 
+/// `w` scheduled on `platform` with `Allocate` seed `seed`, and the
+/// segment graph `policy` induces on that schedule.
+fn plan(
+    w: &mspg::Workflow,
+    platform: Platform,
+    seed: u64,
+    policy: &dyn CheckpointPolicy,
+) -> (Schedule, SegmentGraph) {
+    let cfg = AllocateConfig {
+        seed,
+        ..Default::default()
+    };
+    let schedule = schedule_stage(w, platform.n_procs, &cfg).unwrap();
+    let curve = curve_stage(&w.dag, &platform).unwrap();
+    let ctx = CostCtx::with_curve(&w.dag, platform.model, platform.bandwidth, curve.as_ref());
+    let sg = segment_graph_for(&ctx, &schedule, policy).unwrap();
+    (schedule, sg)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -29,14 +53,13 @@ proptest! {
     fn zero_lambda_is_deterministic(n in 2usize..60, p in 1usize..6, seed: u64) {
         let w = wf(n, seed);
         let platform = Platform::new(p, 0.0, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let (schedule, sg) = plan(&w, platform, seed, &DpOptimalPolicy);
         let stats = simulate_segments(&sg, 0.0, seed);
         prop_assert!((stats.makespan - sg.pdag.makespan_low()).abs() < 1e-6);
         prop_assert_eq!(stats.n_failures, 0);
         let mut src = ExpFailures::new(0.0, seed);
-        let none = simulate_none(&w.dag, &pipe.schedule, &mut src, 10).unwrap();
-        let wpar = pipe.schedule.failure_free_parallel_time(&w.dag);
+        let none = simulate_none(&w.dag, &schedule, &mut src, 10).unwrap();
+        let wpar = schedule.failure_free_parallel_time(&w.dag);
         prop_assert!((none.makespan - wpar).abs() < 1e-6 * wpar.max(1.0),
             "sim {} vs wpar {wpar}", none.makespan);
     }
@@ -48,8 +71,7 @@ proptest! {
         let w = wf(n, seed);
         let lambda = 10f64.powi(-(lam_exp as i32 + 1));
         let platform = Platform::new(3, lambda, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
-        let sg = pipe.segment_graph(Strategy::CkptAll);
+        let (_, sg) = plan(&w, platform, seed, &CkptAllPolicy);
         let floor = sg.pdag.makespan_low();
         let stats = simulate_segments(&sg, lambda, seed);
         prop_assert!(stats.makespan >= floor - 1e-9);
@@ -104,14 +126,14 @@ proptest! {
             _ => FailureModel::lognormal_from_pfail(1.0, pfail, weight),
         };
         let platform = Platform::with_model(1, model, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let sg = pipe.segment_graph(Strategy::CkptAll);
+        let (_, sg) = plan(&w, platform, 0, &CkptAllPolicy);
         prop_assert_eq!(sg.segments.len(), 1);
         let base = sg.segments[0].cost.base();
         let expected = CostCtx::with_model(&w.dag, model, 1e7).expected_segment_time(base);
         // The cached renewal curve must agree with the direct quadrature
         // here too (the simulator cross-checks both cost paths).
-        let cached = CostCtx::with_curve(&w.dag, model, 1e7, pipe.restart_curve())
+        let curve = curve_stage(&w.dag, &platform).unwrap();
+        let cached = CostCtx::with_curve(&w.dag, model, 1e7, curve.as_ref())
             .expected_segment_time(base);
         prop_assert!(
             (cached - expected).abs() <= 1e-3 * expected.max(1e-12) + 1e-12,
@@ -142,15 +164,14 @@ proptest! {
         let weibull = FailureModel::weibull(1.0, 32.0);
         let w = wf(n, seed);
         let platform = Platform::new(3, lambda, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
-        let sg = pipe.segment_graph(Strategy::CkptAll);
+        let (schedule, sg) = plan(&w, platform, seed, &CkptAllPolicy);
         let a = simulate_segments(&sg, lambda, seed);
         let b = simulate_segments_model(&sg, &weibull, seed);
         prop_assert_eq!(a, b);
         let mut exp_src = ExpFailures::new(lambda, seed);
         let mut wei_src = ModelFailures::new(weibull, seed);
-        let na = simulate_none(&w.dag, &pipe.schedule, &mut exp_src, 100_000);
-        let nb = simulate_none(&w.dag, &pipe.schedule, &mut wei_src, 100_000);
+        let na = simulate_none(&w.dag, &schedule, &mut exp_src, 100_000);
+        let nb = simulate_none(&w.dag, &schedule, &mut wei_src, 100_000);
         prop_assert_eq!(na, nb);
     }
 
@@ -230,14 +251,13 @@ proptest! {
             FailureModel::weibull_from_pfail(2.0, 0.001, w_bar)
         };
         let platform = Platform::with_model(p, model, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
         let policies: [&dyn CheckpointPolicy; 3] = [
             &DalyPeriodic { period: None },
             &RiskThreshold { max_risk: 0.1 },
             &GreedyCrossover,
         ];
         for policy in policies {
-            let sg = pipe.segment_graph_policy(policy);
+            let (_, sg) = plan(&w, platform, seed, policy);
             let analytic: f64 = probdag::Evaluator::expected_makespan(
                 &probdag::PathApprox::default(), &sg.pdag);
             let mc = montecarlo_segments_model(&sg, &model, &SimConfig {
@@ -269,8 +289,7 @@ proptest! {
             _ => FailureModel::lognormal_from_pfail(1.0, 0.01, w_bar),
         };
         let platform = Platform::with_model(p, model, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let (schedule, sg) = plan(&w, platform, seed, &DpOptimalPolicy);
         // A small failure budget keeps diverging cascades cheap while
         // still exercising the censoring path across budgets.
         let cfg = |threads| SimConfig {
@@ -278,7 +297,7 @@ proptest! {
         };
         let seg1 = montecarlo_segments_model(&sg, &model, &cfg(1));
         let none1 = failsim::montecarlo_none_model(
-            &w.dag, &pipe.schedule, &model, &cfg(1));
+            &w.dag, &schedule, &model, &cfg(1));
         for threads in [2usize, 3, 7, 16] {
             let seg = montecarlo_segments_model(&sg, &model, &cfg(threads));
             prop_assert_eq!(seg1.mean_makespan.to_bits(), seg.mean_makespan.to_bits());
@@ -286,7 +305,7 @@ proptest! {
             prop_assert_eq!(seg1.mean_failures.to_bits(), seg.mean_failures.to_bits());
             prop_assert_eq!(seg1.mean_wasted.to_bits(), seg.mean_wasted.to_bits());
             let none = failsim::montecarlo_none_model(
-                &w.dag, &pipe.schedule, &model, &cfg(threads));
+                &w.dag, &schedule, &model, &cfg(threads));
             prop_assert_eq!(none1.stats.mean_makespan.to_bits(),
                             none.stats.mean_makespan.to_bits());
             prop_assert_eq!(none1.stats.stderr.to_bits(), none.stats.stderr.to_bits());
@@ -302,8 +321,7 @@ proptest! {
     fn mc_mean_monotone_in_lambda(seed in 0u64..100) {
         let w = wf(40, seed);
         let platform = Platform::new(3, 1e-5, 1e7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let (_, sg) = plan(&w, platform, seed, &DpOptimalPolicy);
         let runs = 300;
         let mean = |lambda: f64| -> f64 {
             (0..runs)

@@ -466,8 +466,6 @@ pub struct Session {
     store: Arc<Store>,
     tracker: Tracker,
     inputs: Inputs,
-    /// Placement thread budget (speed knob; not fingerprinted).
-    pub plan_threads: usize,
     /// Monte Carlo thread budget (speed knob; not fingerprinted).
     pub mc_threads: usize,
     /// Optional per-query wall-clock budget. When set, the DP hot
@@ -491,7 +489,6 @@ impl Session {
             store,
             tracker: Tracker::new(),
             inputs,
-            plan_threads: 1,
             mc_threads: 1,
             deadline: None,
         }
@@ -695,7 +692,7 @@ impl Session {
                 &schedule,
                 policy.as_ref(),
                 &mut PolicyScratch::new(),
-                self.plan_threads,
+                1,
             )
         })?;
 

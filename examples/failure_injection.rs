@@ -10,7 +10,7 @@
 use ckpt_workflows::prelude::*;
 use failsim::{montecarlo_none, montecarlo_segments};
 
-fn main() {
+fn main() -> Result<(), PlanError> {
     let runs: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -27,20 +27,29 @@ fn main() {
         "{:>8} {:10} {:>12} {:>12} {:>8} {:>12} {:>10}",
         "pfail", "strategy", "model EM", "sim EM", "err%", "failures/run", "wasted/run"
     );
+    // One schedule serves every failure model: `Allocate` never reads λ.
+    let schedule = schedule_stage(&w, 18, &AllocateConfig::default())?;
     for pfail in [0.01, 0.001, 0.0001] {
         let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
         let platform = Platform::new(18, lambda, bw);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
+        let curve = curve_stage(&w.dag, &platform)?;
+        let ctx = CostCtx::with_curve(&w.dag, platform.model, bw, curve.as_ref());
         let cfg = SimConfig {
             runs,
             seed: 5,
             ..Default::default()
         };
         for strategy in [Strategy::CkptAll, Strategy::CkptSome] {
-            let model = pipe
-                .assess(strategy, &PathApprox::default())
-                .expected_makespan;
-            let sg = pipe.segment_graph(strategy);
+            let policy = strategy.policy().expect("a checkpointing strategy");
+            let sg = segment_graph_for(&ctx, &schedule, policy)?;
+            let model = assess_graph(
+                &w.dag,
+                &schedule,
+                policy.name(),
+                &sg,
+                &PathApprox::default(),
+            )?
+            .expected_makespan;
             let sim = montecarlo_segments(&sg, lambda, &cfg);
             println!(
                 "{:>8} {:10} {:>11.0}s {:>11.0}s {:>8.2} {:>12.2} {:>9.0}s",
@@ -53,10 +62,9 @@ fn main() {
                 sim.mean_wasted
             );
         }
-        let model = pipe
-            .assess(Strategy::CkptNone, &PathApprox::default())
-            .expected_makespan;
-        let sim = montecarlo_none(&w.dag, &pipe.schedule, lambda, &cfg);
+        let model =
+            assess(&ctx, &schedule, Strategy::CkptNone, &PathApprox::default())?.expected_makespan;
+        let sim = montecarlo_none(&w.dag, &schedule, lambda, &cfg);
         println!(
             "{:>8} {:10} {:>11.0}s {:>11.0}s {:>8.2} {:>12.2} {:>9.0}s  ({} diverged)",
             pfail,
@@ -110,9 +118,19 @@ fn main() {
     };
     for (label, model) in models {
         let platform = Platform::with_model(18, model, bw);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let curve = curve_stage(&w.dag, &platform)?;
+        let ctx = CostCtx::with_curve(&w.dag, model, bw, curve.as_ref());
+        let policy = Strategy::CkptSome
+            .policy()
+            .expect("CkptSome places checkpoints");
+        let sg = segment_graph_for(&ctx, &schedule, policy)?;
+        let some = assess_graph(
+            &w.dag,
+            &schedule,
+            policy.name(),
+            &sg,
+            &PathApprox::default(),
+        )?;
         let sim = failsim::montecarlo_segments_model(&sg, &model, &cfg);
         println!(
             "{:>24} {:>11.0}s {:>11.0}s {:>8.2} {:>6}",
@@ -128,4 +146,5 @@ fn main() {
          cheap to retry; wear-out (k > 1) punishes them — watch the\n\
          checkpoint counts move against the exponential baseline."
     );
+    Ok(())
 }

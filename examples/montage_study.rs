@@ -12,7 +12,7 @@
 use ckpt_workflows::prelude::*;
 use pegasus::ccr::{ccr_grid, scale_to_ccr};
 
-fn main() {
+fn main() -> Result<(), PlanError> {
     let pfail: f64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -29,10 +29,12 @@ fn main() {
         scale_to_ccr(&mut w, ccr, bw);
         let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
         let platform = Platform::new(18, lambda, bw);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let some = pipe.assess(Strategy::CkptSome, &evaluator);
-        let all = pipe.assess(Strategy::CkptAll, &evaluator);
-        let none = pipe.assess(Strategy::CkptNone, &evaluator);
+        let schedule = schedule_stage(&w, 18, &AllocateConfig::default())?;
+        let curve = curve_stage(&w.dag, &platform)?;
+        let ctx = CostCtx::with_curve(&w.dag, platform.model, bw, curve.as_ref());
+        let some = assess(&ctx, &schedule, Strategy::CkptSome, &evaluator)?;
+        let all = assess(&ctx, &schedule, Strategy::CkptAll, &evaluator)?;
+        let none = assess(&ctx, &schedule, Strategy::CkptNone, &evaluator)?;
         let best = [
             ("CkptSome", some.expected_makespan),
             ("CkptAll", all.expected_makespan),
@@ -58,4 +60,5 @@ fn main() {
         "\nReading: ratios > 1 mean CkptSome wins; CkptNone only wins when\n\
          checkpoints are expensive (high CCR) and failures rare (§VI-C)."
     );
+    Ok(())
 }

@@ -11,7 +11,7 @@
 
 use ckpt_workflows::prelude::*;
 
-fn main() {
+fn main() -> Result<(), PlanError> {
     // ----- Figure 2: T1 ⊳ ((T2‖T3‖T4) ⊳ (T5..T9 levels)…) -------------
     // The paper's graph: T1 fans out to {T2,T3,T4}; T2 → {T5,T6};
     // T3 → {T7,T8}; T4 → T9; {T5,T6} → T10; {T7,T8,T9} → {T11,T12};
@@ -51,12 +51,9 @@ fn main() {
     // ----- Figure 3: schedule on two processors ------------------------
     let lambda = lambda_from_pfail(0.01, workflow.dag.mean_weight());
     let platform = Platform::new(2, lambda, 1e8);
-    let pipe = Pipeline::new(&workflow, platform, &AllocateConfig::default());
-    println!(
-        "\nSchedule ({} superchains):",
-        pipe.schedule.superchains.len()
-    );
-    for (i, sc) in pipe.schedule.superchains.iter().enumerate() {
+    let schedule = schedule_stage(&workflow, platform.n_procs, &AllocateConfig::default())?;
+    println!("\nSchedule ({} superchains):", schedule.superchains.len());
+    for (i, sc) in schedule.superchains.iter().enumerate() {
         let names: Vec<&str> = sc
             .tasks
             .iter()
@@ -66,7 +63,17 @@ fn main() {
     }
 
     // ----- Checkpoint placement (Algorithm 2) --------------------------
-    let plan = pipe.plan(Strategy::CkptSome);
+    let curve = curve_stage(&workflow.dag, &platform)?;
+    let ctx = CostCtx::with_curve(
+        &workflow.dag,
+        platform.model,
+        platform.bandwidth,
+        curve.as_ref(),
+    );
+    let dp = Strategy::CkptSome
+        .policy()
+        .expect("CkptSome places checkpoints");
+    let plan = placement_stage(&ctx, &schedule, dp, &mut PolicyScratch::new(), 1)?;
     let ckpts: Vec<&str> = workflow
         .dag
         .task_ids()
@@ -82,10 +89,11 @@ fn main() {
         "strategy", "expected makespan", "checkpoints", "segments"
     );
     for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::CkptNone] {
-        let a = pipe.assess(strategy, &evaluator);
+        let a = assess(&ctx, &schedule, strategy, &evaluator)?;
         println!(
             "{:10} {:>17.1}s {:>13} {:>10}",
             a.policy, a.expected_makespan, a.n_checkpoints, a.n_segments
         );
     }
+    Ok(())
 }

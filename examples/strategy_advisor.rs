@@ -22,7 +22,7 @@ fn arg<T: std::str::FromStr>(key: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
-fn main() {
+fn main() -> Result<(), PlanError> {
     let class: WorkflowClass = arg("--class", "ligo".to_owned()).parse().expect("class");
     let tasks: usize = arg("--tasks", 300);
     let procs: usize = arg("--procs", 35);
@@ -34,7 +34,9 @@ fn main() {
     scale_to_ccr(&mut w, ccr, bw);
     let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
     let platform = Platform::new(procs, lambda, bw);
-    let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
+    let schedule = schedule_stage(&w, procs, &AllocateConfig::default())?;
+    let curve = curve_stage(&w.dag, &platform)?;
+    let ctx = CostCtx::with_curve(&w.dag, platform.model, bw, curve.as_ref());
     let evaluator = PathApprox::default();
 
     println!(
@@ -43,7 +45,7 @@ fn main() {
     );
     let mut results: Vec<(Strategy, f64, usize)> = Vec::new();
     for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::CkptNone] {
-        let a = pipe.assess(strategy, &evaluator);
+        let a = assess(&ctx, &schedule, strategy, &evaluator)?;
         results.push((strategy, a.expected_makespan, a.n_checkpoints));
     }
     println!(
@@ -72,4 +74,5 @@ fn main() {
             100.0 * (some_em / em - 1.0)
         );
     }
+    Ok(())
 }

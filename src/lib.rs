@@ -23,19 +23,24 @@
 //! ```
 //! use ckpt_workflows::prelude::*;
 //!
+//! # fn main() -> Result<(), PlanError> {
 //! // A 50-task Epigenomics workflow on 5 processors with a 0.1% per-task
 //! // failure probability.
 //! let workflow = pegasus::generate(pegasus::WorkflowClass::Genome, 50, 7);
 //! let lambda = lambda_from_pfail(0.001, workflow.dag.mean_weight());
 //! let platform = Platform::new(5, lambda, 1e8);
-//! let pipe = Pipeline::new(&workflow, platform, &AllocateConfig::default());
+//! let schedule = schedule_stage(&workflow, platform.n_procs, &AllocateConfig::default())?;
+//! let curve = curve_stage(&workflow.dag, &platform)?;
+//! let ctx = CostCtx::with_curve(&workflow.dag, platform.model, platform.bandwidth, curve.as_ref());
 //!
-//! let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-//! let all = pipe.assess(Strategy::CkptAll, &PathApprox::default());
-//! let none = pipe.assess(Strategy::CkptNone, &PathApprox::default());
+//! let some = assess(&ctx, &schedule, Strategy::CkptSome, &PathApprox::default())?;
+//! let all = assess(&ctx, &schedule, Strategy::CkptAll, &PathApprox::default())?;
+//! let none = assess(&ctx, &schedule, Strategy::CkptNone, &PathApprox::default())?;
 //! assert!(some.expected_makespan <= all.expected_makespan * 1.02);
 //! assert!(some.n_checkpoints <= all.n_checkpoints);
 //! let _ = none.expected_makespan; // Theorem 1 estimate
+//! # Ok(())
+//! # }
 //! ```
 
 pub use ckpt_core;
@@ -47,11 +52,15 @@ pub use seedmix;
 
 /// One-stop imports for the common pipeline.
 pub mod prelude {
+    pub use ckpt_core::stage::{
+        assess, assess_graph, curve_stage, placement_stage, schedule_stage, segment_graph_for,
+        segment_graph_stage,
+    };
     pub use ckpt_core::{
         allocate, lambda_from_pfail, optimal_checkpoints, theorem1, theorem1_model, AllocateConfig,
         Assessment, CheckpointPlan, CheckpointPolicy, CostCtx, DalyPeriodic, FailureModel,
-        GreedyCrossover, Pipeline, Platform, RiskThreshold, Schedule, SegmentGraph, Strategy,
-        Superchain,
+        GreedyCrossover, PlanError, Platform, PolicyScratch, RestartCurve, RiskThreshold, Schedule,
+        SegmentGraph, Strategy, Superchain,
     };
     pub use failsim::{
         simulate_none, simulate_segments, simulate_segments_model, ExpFailures, ModelFailures,

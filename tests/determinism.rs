@@ -17,6 +17,22 @@ fn build(class: WorkflowClass, seed: u64) -> (Workflow, Platform) {
     (w, Platform::new(5, lambda, BW))
 }
 
+/// `w` scheduled on `platform` under `cfg`, and the segment graph
+/// `strategy` induces on that schedule (with the platform's renewal
+/// curve).
+fn plan(
+    w: &Workflow,
+    platform: &Platform,
+    cfg: &AllocateConfig,
+    strategy: Strategy,
+) -> (Schedule, SegmentGraph) {
+    let schedule = schedule_stage(w, platform.n_procs, cfg).unwrap();
+    let curve = curve_stage(&w.dag, platform).unwrap();
+    let ctx = CostCtx::with_curve(&w.dag, platform.model, platform.bandwidth, curve.as_ref());
+    let sg = segment_graph_for(&ctx, &schedule, strategy.policy().unwrap()).unwrap();
+    (schedule, sg)
+}
+
 #[test]
 fn generators_are_bitwise_deterministic() {
     for class in WorkflowClass::ALL_EXTENDED {
@@ -55,14 +71,16 @@ fn pipeline_assessments_are_bitwise_deterministic() {
             seed,
             ..Default::default()
         };
-        let pipe = Pipeline::new(&w, platform, &cfg);
+        let schedule = schedule_stage(&w, platform.n_procs, &cfg).unwrap();
+        let curve = curve_stage(&w.dag, &platform).unwrap();
+        let ctx = CostCtx::with_curve(&w.dag, platform.model, BW, curve.as_ref());
         [
             Strategy::CkptAll,
             Strategy::CkptSome,
             Strategy::CkptNone,
             Strategy::ExitOnly,
         ]
-        .map(|s| pipe.assess(s, &PathApprox::default()))
+        .map(|s| assess(&ctx, &schedule, s, &PathApprox::default()).unwrap())
     };
     let a = run(7);
     let b = run(7);
@@ -81,8 +99,12 @@ fn pipeline_assessments_are_bitwise_deterministic() {
 #[test]
 fn montecarlo_evaluator_is_bitwise_deterministic() {
     let (w, platform) = build(WorkflowClass::Montage, 3);
-    let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-    let sg = pipe.segment_graph(Strategy::CkptSome);
+    let (_, sg) = plan(
+        &w,
+        &platform,
+        &AllocateConfig::default(),
+        Strategy::CkptSome,
+    );
     // Each trial owns its own seed stream and the reduction runs in
     // canonical trial order, so the estimate is a pure function of
     // (seed, trials) — the thread budget must not matter.
@@ -106,8 +128,7 @@ fn montecarlo_evaluator_is_bitwise_deterministic() {
 #[test]
 fn simulators_are_bitwise_deterministic() {
     let (w, platform) = build(WorkflowClass::Ligo, 11);
-    let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-    let sg = pipe.segment_graph(Strategy::CkptAll);
+    let (schedule, sg) = plan(&w, &platform, &AllocateConfig::default(), Strategy::CkptAll);
 
     let a = simulate_segments(&sg, platform.lambda(), 21);
     let b = simulate_segments(&sg, platform.lambda(), 21);
@@ -117,7 +138,7 @@ fn simulators_are_bitwise_deterministic() {
 
     let run_none = || {
         let mut src = ExpFailures::new(platform.lambda(), 5);
-        simulate_none(&w.dag, &pipe.schedule, &mut src, 100_000).unwrap()
+        simulate_none(&w.dag, &schedule, &mut src, 100_000).unwrap()
     };
     let (x, y) = (run_none(), run_none());
     assert_eq!(x.makespan.to_bits(), y.makespan.to_bits());
@@ -145,14 +166,16 @@ fn non_memoryless_pipeline_is_bitwise_deterministic() {
     let model = FailureModel::weibull_from_pfail(0.7, 0.001, w.dag.mean_weight());
     let platform = Platform::with_model(5, model, BW);
     let run = || {
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let em = pipe
-            .assess(Strategy::CkptSome, &PathApprox::default())
-            .expected_makespan;
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let (schedule, sg) = plan(
+            &w,
+            &platform,
+            &AllocateConfig::default(),
+            Strategy::CkptSome,
+        );
+        let em = PathApprox::default().expected_makespan(&sg.pdag);
         let sim = failsim::simulate_segments_model(&sg, &model, 31);
         let mut src = failsim::ModelFailures::new(model, 7);
-        let none = simulate_none(&w.dag, &pipe.schedule, &mut src, 100_000).unwrap();
+        let none = simulate_none(&w.dag, &schedule, &mut src, 100_000).unwrap();
         (em, sim, none)
     };
     let (ea, sa, na) = run();

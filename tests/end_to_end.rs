@@ -21,19 +21,42 @@ fn pipeline(
     (w, Platform::new(procs, lambda, BW))
 }
 
+/// Schedules `w` on `platform` with the default `Allocate` and hands
+/// `f` the cost context (with the platform's renewal curve) and the
+/// schedule.
+fn with_plan<R>(
+    w: &Workflow,
+    platform: &Platform,
+    f: impl FnOnce(&CostCtx<'_>, &Schedule) -> R,
+) -> R {
+    let schedule = schedule_stage(w, platform.n_procs, &AllocateConfig::default()).unwrap();
+    let curve = curve_stage(&w.dag, platform).unwrap();
+    let ctx = CostCtx::with_curve(&w.dag, platform.model, platform.bandwidth, curve.as_ref());
+    f(&ctx, &schedule)
+}
+
+fn assessed(ctx: &CostCtx<'_>, schedule: &Schedule, strategy: Strategy) -> Assessment {
+    assess(ctx, schedule, strategy, &PathApprox::default()).unwrap()
+}
+
+fn graph(ctx: &CostCtx<'_>, schedule: &Schedule, strategy: Strategy) -> SegmentGraph {
+    segment_graph_for(ctx, schedule, strategy.policy().unwrap()).unwrap()
+}
+
 #[test]
 fn full_pipeline_runs_on_all_classes() {
     for class in WorkflowClass::ALL {
         let (w, platform) = pipeline(class, 50, 5, 0.001, 0.01, 7);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        pipe.schedule.validate(&w.dag).unwrap();
-        for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::ExitOnly] {
-            let a = pipe.assess(strategy, &PathApprox::default());
-            assert!(a.expected_makespan.is_finite() && a.expected_makespan > 0.0);
-            assert!(a.expected_makespan >= a.w_par * 0.99, "{class} {strategy}");
-        }
-        let none = pipe.assess(Strategy::CkptNone, &PathApprox::default());
-        assert!(none.expected_makespan >= none.w_par);
+        with_plan(&w, &platform, |ctx, schedule| {
+            schedule.validate(&w.dag).unwrap();
+            for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::ExitOnly] {
+                let a = assessed(ctx, schedule, strategy);
+                assert!(a.expected_makespan.is_finite() && a.expected_makespan > 0.0);
+                assert!(a.expected_makespan >= a.w_par * 0.99, "{class} {strategy}");
+            }
+            let none = assessed(ctx, schedule, Strategy::CkptNone);
+            assert!(none.expected_makespan >= none.w_par);
+        });
     }
 }
 
@@ -42,14 +65,21 @@ fn checkpoint_counts_are_ordered() {
     // CkptAll ≥ CkptSome ≥ ExitOnly ≥ #superchains.
     for class in WorkflowClass::ALL {
         let (w, platform) = pipeline(class, 300, 18, 0.001, 0.05, 3);
-        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let all = pipe.plan(Strategy::CkptAll).n_checkpoints();
-        let some = pipe.plan(Strategy::CkptSome).n_checkpoints();
-        let exit = pipe.plan(Strategy::ExitOnly).n_checkpoints();
-        assert_eq!(all, w.n_tasks());
-        assert!(some <= all);
-        assert!(exit <= some, "{class}: exit {exit} vs some {some}");
-        assert_eq!(exit, pipe.schedule.superchains.len());
+        with_plan(&w, &platform, |ctx, schedule| {
+            let count = |strategy: Strategy| {
+                let policy = strategy.policy().unwrap();
+                placement_stage(ctx, schedule, policy, &mut PolicyScratch::new(), 1)
+                    .unwrap()
+                    .n_checkpoints()
+            };
+            let all = count(Strategy::CkptAll);
+            let some = count(Strategy::CkptSome);
+            let exit = count(Strategy::ExitOnly);
+            assert_eq!(all, w.n_tasks());
+            assert!(some <= all);
+            assert!(exit <= some, "{class}: exit {exit} vs some {some}");
+            assert_eq!(exit, schedule.superchains.len());
+        });
     }
 }
 
@@ -60,8 +90,7 @@ fn evaluators_agree_on_coalesced_graphs() {
     // on Ligo's shared-ancestor-heavy structure (why the paper picked
     // PathApprox).
     let (w, platform) = pipeline(WorkflowClass::Ligo, 300, 18, 0.001, 0.01, 5);
-    let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-    let sg = pipe.segment_graph(Strategy::CkptSome);
+    let sg = with_plan(&w, &platform, |ctx, s| graph(ctx, s, Strategy::CkptSome));
     // Pinned thread count so `truth` is identical on every machine (the
     // per-worker RNG streams depend on the partition).
     let truth = MonteCarlo {
@@ -97,11 +126,10 @@ fn simulation_validates_first_order_model() {
     // E5 in miniature: model vs exact renewal simulation within 5 stderr
     // + 1% model error.
     let (w, platform) = pipeline(WorkflowClass::Montage, 300, 18, 0.001, 0.03, 9);
-    let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-    let model = pipe
-        .assess(Strategy::CkptSome, &PathApprox::default())
-        .expected_makespan;
-    let sg = pipe.segment_graph(Strategy::CkptSome);
+    let (model, sg) = with_plan(&w, &platform, |ctx, s| {
+        let em = assessed(ctx, s, Strategy::CkptSome).expected_makespan;
+        (em, graph(ctx, s, Strategy::CkptSome))
+    });
     let sim = montecarlo_segments(
         &sg,
         platform.lambda(),
@@ -125,9 +153,9 @@ fn serialization_roundtrip_preserves_pipeline_results() {
     let (w, platform) = pipeline(WorkflowClass::Genome, 50, 5, 0.001, 0.005, 13);
     let text = pegasus::textio::to_text(&w);
     let back = pegasus::textio::from_text(&text).unwrap();
-    let cfg = AllocateConfig::default();
-    let a = Pipeline::new(&w, platform, &cfg).assess(Strategy::CkptSome, &PathApprox::default());
-    let b = Pipeline::new(&back, platform, &cfg).assess(Strategy::CkptSome, &PathApprox::default());
+    let some =
+        |w: &Workflow| with_plan(w, &platform, |ctx, s| assessed(ctx, s, Strategy::CkptSome));
+    let (a, b) = (some(&w), some(&back));
     assert_eq!(a.expected_makespan, b.expected_makespan);
     assert_eq!(a.n_checkpoints, b.n_checkpoints);
 }
@@ -170,23 +198,21 @@ fn gspg_runs_through_the_full_pipeline() {
     let workflow = Workflow::from_wired(reduced, expr);
     workflow.validate().unwrap();
     let lambda = lambda_from_pfail(0.001, workflow.dag.mean_weight());
-    let pipe = Pipeline::new(
-        &workflow,
-        Platform::new(5, lambda, 1e7),
-        &AllocateConfig::default(),
-    );
-    let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-    let all = pipe.assess(Strategy::CkptAll, &PathApprox::default());
+    let platform = Platform::new(5, lambda, 1e7);
+    let (some, all, sg) = with_plan(&workflow, &platform, |ctx, s| {
+        let some = assessed(ctx, s, Strategy::CkptSome);
+        let all = assessed(ctx, s, Strategy::CkptAll);
+        (some, all, graph(ctx, s, Strategy::CkptAll))
+    });
     assert!(some.expected_makespan > 0.0 && some.expected_makespan.is_finite());
     assert!(some.expected_makespan <= all.expected_makespan * 1.03);
     // The shortcut file must be priced: dropping its size must shrink the
     // CkptAll makespan read component.
-    let sg = pipe.segment_graph(Strategy::CkptAll);
     let f = workflow.dag.primary_output(splits[0]).unwrap();
     let seg_of_pileup = sg.task_segment[pileup.index()] as usize;
     let read = sg.segments[seg_of_pileup].cost.r;
     assert!(
-        read * pipe.platform.bandwidth >= workflow.dag.file(f).size,
+        read * platform.bandwidth >= workflow.dag.file(f).size,
         "pileup's segment must read the shortcut file"
     );
 }

@@ -16,8 +16,9 @@
 use ckpt_bench::engine::{self, EngineConfig, Scenario, StringSink};
 use ckpt_bench::scenarios::{
     DistModel, DistributionsScenario, DriftScenario, FigureScenario, LinearizationScenario,
-    NaiveCoalesceScenario, PolicyChoice, StrategiesScenario,
+    NaiveCoalesceScenario, StrategiesScenario,
 };
+use ckpt_service::PolicySpec;
 use pegasus::WorkflowClass;
 use seedmix::digest::Fnv1a;
 
@@ -102,9 +103,9 @@ fn e9_distributions_grid() {
 fn e10_strategies_grid() {
     let s = StrategiesScenario {
         policies: vec![
-            PolicyChoice::DpOptimal,
-            PolicyChoice::Daly,
-            PolicyChoice::Risk { max_risk: 0.1 },
+            PolicySpec::DpOptimal,
+            PolicySpec::Daly { period: None },
+            PolicySpec::Risk { max_risk: 0.1 },
         ],
         models: vec![DistModel::Exponential, DistModel::Weibull { shape: 0.7 }],
         classes: vec![WorkflowClass::Genome, WorkflowClass::Montage],
